@@ -1,23 +1,38 @@
-"""Generic subset-sum machinery shared by the integer and polynomial chain
-modules.
+"""The chain core shared by the integer and polynomial modules.
 
-Works on any sequence of addable, hashable elements.  Subsets are reported as
-tuples of 1-based term indices; enumeration follows increasing bitmask order,
-which makes every witness reproducible.
+Subset-sum machinery works on any sequence of addable, hashable elements.
+Subsets are reported as tuples of 1-based term indices; enumeration follows
+increasing bitmask order, which makes every witness reproducible.
+
+The chain semantics (window, cyclic and permutation verdicts, the literal
+all-orderings verifier, and the per-modulus test used by the searches) are
+written once here over a `Ring`: the few facts about one modulus m of Z or
+F_p[t] that differ between the two rings.  Values are reduced with `v % m`,
+which both `int` and `FFPoly` support.
 """
 
 from __future__ import annotations
 
-from powerchains.errors import SizeLimitError
+from dataclasses import dataclass
+from itertools import accumulate, permutations
+from math import gcd
+from typing import Callable
+
+from powerchains.errors import InvalidCandidateError, SizeLimitError
 
 DEFAULT_MAX_TERMS = 24
 
 
-def check_term_cap(n_terms: int, max_terms: int = DEFAULT_MAX_TERMS) -> None:
+def check_term_cap(n_terms: int, max_terms: int) -> None:
     if n_terms > max_terms:
         raise SizeLimitError(
             f"sequence has {n_terms} terms, above the subset-sum cap of "
             f"{max_terms}; raise max_terms explicitly to override")
+
+
+def check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
 
 
 def mask_indices(mask: int) -> tuple[int, ...]:
@@ -41,18 +56,22 @@ def subset_values(items) -> set:
     return values
 
 
-def subset_value_witnesses(items) -> dict:
-    """Map each subset-sum value to the first (lowest-mask) subset reaching it."""
+def _mask_sums(items):
+    """(mask, subset sum) for every nonempty subset, in increasing mask order."""
     items = list(items)
-    n = len(items)
-    sums = [None] * (1 << n)
-    witnesses: dict = {}
-    for mask in range(1, 1 << n):
+    sums = [None] * (1 << len(items))
+    for mask in range(1, len(sums)):
         low = mask & -mask
         rest = mask ^ low
         x = items[low.bit_length() - 1]
-        s = x if rest == 0 else sums[rest] + x
-        sums[mask] = s
+        sums[mask] = s = x if rest == 0 else sums[rest] + x
+        yield mask, s
+
+
+def subset_value_witnesses(items) -> dict:
+    """Map each subset-sum value to the first (lowest-mask) subset reaching it."""
+    witnesses: dict = {}
+    for mask, s in _mask_sums(items):
         if s not in witnesses:
             witnesses[s] = mask_indices(mask)
     return witnesses
@@ -64,18 +83,271 @@ def first_sum_collision(items):
     Returns (indices_a, indices_b, value) or None when all 2^n - 1 nonempty
     subset sums are pairwise distinct.
     """
-    items = list(items)
-    n = len(items)
-    sums = [None] * (1 << n)
     seen: dict = {}
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        rest = mask ^ low
-        x = items[low.bit_length() - 1]
-        s = x if rest == 0 else sums[rest] + x
-        sums[mask] = s
-        other = seen.get(s)
-        if other is not None:
-            return mask_indices(other), mask_indices(mask), s
+    for mask, s in _mask_sums(items):
+        if s in seen:
+            return mask_indices(seen[s]), mask_indices(mask), s
         seen[s] = mask
     return None
+
+
+@dataclass(frozen=True)
+class SumSet:
+    """The set E of all nonempty subset sums of a candidate.
+
+    `witnesses`, when populated, maps each value to the first index subset
+    (1-based, in bitmask order) that attains it; `by_window()` rewrites those
+    subsets as (ordering, i, j) window witnesses.
+    """
+
+    values: frozenset
+    witnesses: dict | None = None
+    term_count: int | None = None
+
+    def __len__(self):
+        return len(self.values)
+
+    def __contains__(self, v):
+        return v in self.values
+
+    def __iter__(self):
+        return iter(self.values)
+
+    def by_window(self) -> dict:
+        """Map (sigma, i, j) -> value.  sigma is a 1-based permutation tuple
+        placing the witness subset first, so the window i..j is consecutive."""
+        if self.witnesses is None or self.term_count is None:
+            raise ValueError("sum set was built without witnesses")
+        m = self.term_count
+        out = {}
+        for value, subset in sorted(self.witnesses.items(), key=lambda kv: kv[1]):
+            rest = tuple(i for i in range(1, m + 1) if i not in subset)
+            out[(subset + rest, 1, len(subset))] = value
+        return out
+
+
+def sum_set(terms, max_terms: int, with_witnesses: bool) -> SumSet:
+    check_term_cap(len(terms), max_terms)
+    if with_witnesses:
+        witnesses = subset_value_witnesses(terms)
+        return SumSet(frozenset(witnesses), witnesses, len(terms))
+    return SumSet(frozenset(subset_values(terms)), None, len(terms))
+
+
+@dataclass(frozen=True)
+class SumDistinctResult:
+    """Outcome of the candidate condition: truthy iff all nonempty subset
+    sums are pairwise distinct; otherwise `collision` holds two 1-based index
+    subsets with the same sum."""
+
+    distinct: bool
+    collision: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    colliding_sum: object = None
+
+    def __bool__(self):
+        return self.distinct
+
+
+def sum_distinct(terms, max_terms: int) -> tuple[SumDistinctResult, set]:
+    """The candidate condition together with the subset-sum set E it builds.
+
+    E is returned either way; it is deduplicated when the candidate is not
+    sum-distinct.  The collision witness is the first in bitmask order.
+    """
+    check_term_cap(len(terms), max_terms)
+    values = subset_values(terms)
+    if len(values) == (1 << len(terms)) - 1:
+        return SumDistinctResult(True), values
+    a, b, s = first_sum_collision(terms)
+    return SumDistinctResult(False, (a, b), s), values
+
+
+def require_sum_distinct(terms, max_terms: int, where: str = "") -> set:
+    """E for a sum-distinct candidate; InvalidCandidateError otherwise."""
+    sd, values = sum_distinct(terms, max_terms)
+    if not sd:
+        a, b = sd.collision
+        raise InvalidCandidateError(
+            f"candidate is not sum-distinct{where}: term subsets {list(a)} and "
+            f"{list(b)} both sum to {sd.colliding_sum}")
+    return values
+
+
+@dataclass(frozen=True)
+class ChainFailure:
+    """First violated sum for a failed verdict level."""
+
+    level: str  # "chain" | "cyclic" | "permutation"
+    kind: str  # "non_residue" | "collision"
+    values: tuple
+    description: str
+
+
+@dataclass(frozen=True)
+class ChainVerdict:
+    """Chain / cyclic-chain / permutation-chain verdict for one (r, k, modulus).
+
+    is_permutation implies is_cyclic implies is_chain.
+    """
+
+    is_chain: bool
+    is_cyclic: bool
+    is_permutation: bool
+    failure_witness: ChainFailure | None = None
+
+
+def ordinal(k: int) -> str:
+    if k % 100 in (11, 12, 13):
+        return f"{k}th"
+    suffix = {1: "st", 2: "nd", 3: "rd"}.get(k % 10, "th")
+    return f"{k}{suffix}"
+
+
+def residue_exponent(k: int, q: int) -> int | None:
+    """The exponent e = (q-1)/gcd(k, q-1): a nonzero class a of a field of
+    size q is a kth power iff a^e = 1.  None when every class is a kth power
+    (gcd 1)."""
+    g = gcd(k, q - 1)
+    return None if g == 1 else (q - 1) // g
+
+
+@dataclass(frozen=True)
+class Ring:
+    """One modulus m of Z or F_p[t], as the chain core sees it.
+
+    `exponent` is residue_exponent(k', q) for the residue field of size q,
+    where k' is the part of k that can change the residue test (k itself over
+    Z, its prime-to-p part over F_p[t]); `k` is kept for messages.  `phrase`
+    places the exact subset sums in their ring ("over the integers").
+    """
+
+    modulus: object
+    k: int
+    exponent: int | None
+    power: Callable
+    one: object
+    sort_key: Callable | None
+    phrase: str
+
+    def is_residue(self, a) -> bool:
+        """a, already reduced mod m, is a kth power residue (0, which is
+        falsy in both rings, counts)."""
+        return (self.exponent is None or not a or a == self.one
+                or self.power(a, self.exponent, self.modulus) == self.one)
+
+
+def window_failure(terms, ring: Ring, level: str,
+                   prefix: str = "") -> ChainFailure | None:
+    """First violated window sum of the given ordering, or None.
+
+    Windows are scanned in (i, j) lexicographic order; each is checked for
+    residueness first, then for collision with an earlier window.
+    """
+    m = ring.modulus
+    seen: dict = {}
+    for i in range(len(terms)):
+        for s in accumulate(terms[i:]):
+            a = s % m
+            if not ring.is_residue(a):
+                return ChainFailure(
+                    level, "non_residue", (s,),
+                    f"{prefix}window sum {s} is not a {ordinal(ring.k)} power "
+                    f"residue mod {m}")
+            if a in seen:
+                desc = (f"{prefix}window sum {s} occurs twice mod {m}"
+                        if seen[a] == s else
+                        f"{prefix}window sums {seen[a]} and {s} are congruent mod {m}")
+                return ChainFailure(level, "collision", (seen[a], s), desc)
+            seen[a] = s
+    return None
+
+
+def cyclic_failure(terms, ring: Ring) -> ChainFailure | None:
+    for i in range(len(terms)):
+        rotated = terms[i:] + terms[:i]
+        prefix = f"rotation starting at term {i + 1}: " if i else ""
+        fail = window_failure(rotated, ring, "cyclic", prefix)
+        if fail is not None:
+            return fail
+    return None
+
+
+def modulus_defect(values, ring: Ring, distinct: bool = True):
+    """The per-modulus test: is E distinct mod m with every element a residue?
+
+    `values` is E in sort-key order.  Returns None when both hold, else
+    ("collision", (earlier, s)) for the first s congruent to an earlier value,
+    or ("non_residue", (s,)) for the first non-residue; collisions are looked
+    for first.  distinct=False skips the collision pass, for callers that know
+    E injects into the residue ring.
+    """
+    m = ring.modulus
+    if distinct:
+        reduced: dict = {}
+        for s in values:
+            a = s % m
+            if a in reduced:
+                return "collision", (reduced[a], s)
+            reduced[a] = s
+        pairs = reduced.items()
+    else:
+        pairs = ((s % m, s) for s in values)
+    if ring.exponent is not None:
+        for a, s in pairs:
+            if not ring.is_residue(a):
+                return "non_residue", (s,)
+    return None
+
+
+def permutation_failure(terms, ring: Ring, max_terms: int) -> ChainFailure | None:
+    sd, values = sum_distinct(terms, max_terms)
+    if not sd:
+        a, b = sd.collision
+        return ChainFailure(
+            "permutation", "collision", (sd.colliding_sum, sd.colliding_sum),
+            f"subset sums collide {ring.phrase}: term subsets {list(a)} and "
+            f"{list(b)} both sum to {sd.colliding_sum}")
+    defect = modulus_defect(sorted(values, key=ring.sort_key), ring)
+    if defect is None:
+        return None
+    kind, found = defect
+    if kind == "collision":
+        desc = f"subset sums {found[0]} and {found[1]} are congruent mod {ring.modulus}"
+    else:
+        desc = (f"subset sum {found[0]} is not a {ordinal(ring.k)} power "
+                f"residue mod {ring.modulus}")
+    return ChainFailure("permutation", kind, found, desc)
+
+
+def verdict(terms, ring: Ring, max_terms: int, debug: bool) -> ChainVerdict:
+    """Full verdict; failure_witness describes the first violated sum of the
+    weakest failing level.  debug=True cross-checks the permutation level
+    against the all-orderings verifier (m <= 6 only)."""
+    chain_fail = window_failure(terms, ring, "chain")
+    cyclic_fail = chain_fail if chain_fail is not None else cyclic_failure(terms, ring)
+    perm_fail = (cyclic_fail if cyclic_fail is not None
+                 else permutation_failure(terms, ring, max_terms))
+    result = ChainVerdict(
+        is_chain=chain_fail is None,
+        is_cyclic=cyclic_fail is None,
+        is_permutation=perm_fail is None,
+        failure_witness=perm_fail,
+    )
+    if debug:
+        if len(terms) > 6:
+            raise ValueError("debug cross-check is limited to m <= 6")
+        naive = naive_permutation_chain(terms, ring, 6)
+        if naive != result.is_permutation:
+            raise AssertionError(
+                f"subset-based verdict {result.is_permutation} disagrees with "
+                f"all-permutations verdict {naive} for {terms}, k={ring.k}, "
+                f"modulus {ring.modulus!r}")
+    return result
+
+
+def naive_permutation_chain(terms, ring: Ring, max_terms: int) -> bool:
+    """Literal definition: every ordering of terms is a chain.  m! work."""
+    if len(terms) > max_terms:
+        raise ValueError(f"naive verifier capped at m <= {max_terms}")
+    return all(window_failure(perm, ring, "chain") is None
+               for perm in permutations(terms))

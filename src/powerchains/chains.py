@@ -1,4 +1,6 @@
-"""Chain semantics over the integers.
+"""Chains over the integers: candidates, the verifiers, exceptional primes
+and the prime scan.  The verifiers are thin wrappers over the ring-generic
+chain core in `_subsets`, which F_p[t] shares.
 
 A sequence r_1..r_m is a *chain* of kth power residues mod p when its
 m(m+1)/2 consecutive-window sums are pairwise distinct mod p and every one of
@@ -22,12 +24,12 @@ all-permutations definition, never assumed silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from math import gcd
 
 from powerchains import _subsets, arith
-from powerchains._subsets import DEFAULT_MAX_TERMS
-from powerchains.errors import InvalidCandidateError, OverflowLimitError
+from powerchains._subsets import (DEFAULT_MAX_TERMS, ChainFailure, ChainVerdict,
+                                  SumDistinctResult, SumSet)
+from powerchains.errors import OverflowLimitError
 
 __all__ = [
     "CandidateSequence",
@@ -85,46 +87,11 @@ def _terms(r) -> tuple[int, ...]:
     return CandidateSequence(tuple(r)).terms
 
 
-def _ordinal(k: int) -> str:
-    if k % 100 in (11, 12, 13):
-        return f"{k}th"
-    suffix = {1: "st", 2: "nd", 3: "rd"}.get(k % 10, "th")
-    return f"{k}{suffix}"
-
-
-@dataclass(frozen=True)
-class SumSet:
-    """The set E of all nonempty subset sums of a candidate.
-
-    `witnesses`, when populated, maps each value to the first index subset
-    (1-based, in bitmask order) that attains it; `by_window()` rewrites those
-    subsets as (ordering, i, j) window witnesses.
-    """
-
-    values: frozenset
-    witnesses: dict | None = None
-    term_count: int | None = None
-
-    def __len__(self):
-        return len(self.values)
-
-    def __contains__(self, v):
-        return v in self.values
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def by_window(self) -> dict:
-        """Map (sigma, i, j) -> value.  sigma is a 1-based permutation tuple
-        placing the witness subset first, so the window i..j is consecutive."""
-        if self.witnesses is None or self.term_count is None:
-            raise ValueError("sum set was built without witnesses")
-        m = self.term_count
-        out = {}
-        for value, subset in sorted(self.witnesses.items(), key=lambda kv: kv[1]):
-            rest = tuple(i for i in range(1, m + 1) if i not in subset)
-            out[(subset + rest, 1, len(subset))] = value
-        return out
+def _ring(k: int, p) -> _subsets.Ring:
+    _subsets.check_k(k)
+    p = arith._as_prime(p)
+    return _subsets.Ring(p, k, _subsets.residue_exponent(k, p), pow, 1, None,
+                         "over the integers")
 
 
 def subset_sums(r, *, max_terms: int = DEFAULT_MAX_TERMS,
@@ -135,26 +102,7 @@ def subset_sums(r, *, max_terms: int = DEFAULT_MAX_TERMS,
     see the module docstring.  Sequences longer than `max_terms` raise
     SizeLimitError.
     """
-    terms = _terms(r)
-    _subsets.check_term_cap(len(terms), max_terms)
-    if with_witnesses:
-        witnesses = _subsets.subset_value_witnesses(terms)
-        return SumSet(frozenset(witnesses), witnesses, len(terms))
-    return SumSet(frozenset(_subsets.subset_values(terms)), None, len(terms))
-
-
-@dataclass(frozen=True)
-class SumDistinctResult:
-    """Outcome of the candidate condition: truthy iff all nonempty subset
-    sums are pairwise distinct; otherwise `collision` holds two 1-based index
-    subsets with the same sum."""
-
-    distinct: bool
-    collision: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    colliding_sum: int | None = None
-
-    def __bool__(self):
-        return self.distinct
+    return _subsets.sum_set(_terms(r), max_terms, with_witnesses)
 
 
 def is_sum_distinct(r, *, max_terms: int = DEFAULT_MAX_TERMS) -> SumDistinctResult:
@@ -164,124 +112,20 @@ def is_sum_distinct(r, *, max_terms: int = DEFAULT_MAX_TERMS) -> SumDistinctResu
     distinct.  The witness, when present, is the first collision in bitmask
     order.
     """
-    terms = _terms(r)
-    _subsets.check_term_cap(len(terms), max_terms)
-    values = _subsets.subset_values(terms)
-    if len(values) == (1 << len(terms)) - 1:
-        return SumDistinctResult(True)
-    a, b, s = _subsets.first_sum_collision(terms)
-    return SumDistinctResult(False, (a, b), s)
-
-
-@dataclass(frozen=True)
-class ChainFailure:
-    """First violated sum for a failed verdict level."""
-
-    level: str  # "chain" | "cyclic" | "permutation"
-    kind: str  # "non_residue" | "collision"
-    values: tuple
-    description: str
-
-
-@dataclass(frozen=True)
-class ChainVerdict:
-    """Chain / cyclic-chain / permutation-chain verdict for one (r, k, p).
-
-    is_permutation implies is_cyclic implies is_chain.
-    """
-
-    is_chain: bool
-    is_cyclic: bool
-    is_permutation: bool
-    failure_witness: ChainFailure | None = None
-
-
-def _window_failure(terms, k: int, p: int, level: str,
-                    prefix: str = "") -> ChainFailure | None:
-    """First violated window sum of the given ordering, or None.
-
-    Windows are scanned in (i, j) lexicographic order; each is checked for
-    residueness first, then for collision with an earlier window.
-    """
-    m = len(terms)
-    g = gcd(k, p - 1)
-    e = (p - 1) // g
-    seen: dict[int, int] = {}
-    for i in range(m):
-        s = 0
-        for j in range(i, m):
-            s += terms[j]
-            a = s % p
-            if a > 1 and g > 1 and pow(a, e, p) != 1:
-                return ChainFailure(
-                    level, "non_residue", (s,),
-                    f"{prefix}window sum {s} is not a {_ordinal(k)} power "
-                    f"residue mod {p}")
-            if a in seen:
-                desc = (f"{prefix}window sum {s} occurs twice mod {p}"
-                        if seen[a] == s else
-                        f"{prefix}window sums {seen[a]} and {s} are congruent mod {p}")
-                return ChainFailure(level, "collision", (seen[a], s), desc)
-            seen[a] = s
-    return None
+    return _subsets.sum_distinct(_terms(r), max_terms)[0]
 
 
 def is_chain(r, k: int, p) -> bool:
     """True iff the window sums of r (in the given order) are pairwise
     distinct mod p and all kth power residues mod p."""
     terms = _terms(r)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    p = arith._as_prime(p)
-    return _window_failure(terms, k, p, "chain") is None
+    return _subsets.window_failure(terms, _ring(k, p), "chain") is None
 
 
 def is_cyclic_chain(r, k: int, p) -> bool:
     """True iff every rotation of r is a chain of kth power residues mod p."""
     terms = _terms(r)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    p = arith._as_prime(p)
-    return _cyclic_failure(terms, k, p) is None
-
-
-def _cyclic_failure(terms, k, p) -> ChainFailure | None:
-    for i in range(len(terms)):
-        rotated = terms[i:] + terms[:i]
-        prefix = f"rotation starting at term {i + 1}: " if i else ""
-        fail = _window_failure(rotated, k, p, "cyclic", prefix)
-        if fail is not None:
-            return fail
-    return None
-
-
-def _permutation_failure(terms, k, p, max_terms) -> ChainFailure | None:
-    sd = is_sum_distinct(terms, max_terms=max_terms)
-    if not sd:
-        a, b = sd.collision
-        return ChainFailure(
-            "permutation", "collision", (sd.colliding_sum, sd.colliding_sum),
-            f"subset sums collide over the integers: term subsets "
-            f"{list(a)} and {list(b)} both sum to {sd.colliding_sum}")
-    values = sorted(_subsets.subset_values(terms))
-    seen: dict[int, int] = {}
-    for s in values:
-        a = s % p
-        if a in seen:
-            return ChainFailure(
-                "permutation", "collision", (seen[a], s),
-                f"subset sums {seen[a]} and {s} are congruent mod {p}")
-        seen[a] = s
-    g = gcd(k, p - 1)
-    if g > 1:
-        e = (p - 1) // g
-        for s in values:
-            a = s % p
-            if a > 1 and pow(a, e, p) != 1:
-                return ChainFailure(
-                    "permutation", "non_residue", (s,),
-                    f"subset sum {s} is not a {_ordinal(k)} power residue mod {p}")
-    return None
+    return _subsets.cyclic_failure(terms, _ring(k, p)) is None
 
 
 def is_permutation_chain(r, k: int, p, *, max_terms: int = DEFAULT_MAX_TERMS,
@@ -296,42 +140,14 @@ def is_permutation_chain(r, k: int, p, *, max_terms: int = DEFAULT_MAX_TERMS,
     level.
     """
     terms = _terms(r)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    p = arith._as_prime(p)
-
-    chain_fail = _window_failure(terms, k, p, "chain")
-    cyclic_fail = chain_fail if chain_fail is not None else _cyclic_failure(terms, k, p)
-    perm_fail = (cyclic_fail if cyclic_fail is not None
-                 else _permutation_failure(terms, k, p, max_terms))
-    verdict = ChainVerdict(
-        is_chain=chain_fail is None,
-        is_cyclic=cyclic_fail is None,
-        is_permutation=perm_fail is None,
-        failure_witness=perm_fail,
-    )
-    if debug:
-        if len(terms) > 6:
-            raise ValueError("debug cross-check is limited to m <= 6")
-        naive = naive_permutation_chain(terms, k, p)
-        if naive != verdict.is_permutation:
-            raise AssertionError(
-                f"subset-based verdict {verdict.is_permutation} disagrees with "
-                f"all-permutations verdict {naive} for {terms}, k={k}, p={p}")
-    return verdict
+    return _subsets.verdict(terms, _ring(k, p), max_terms, debug)
 
 
 def naive_permutation_chain(r, k: int, p, *, max_terms: int = 8) -> bool:
     """Literal definition: every ordering of r is a chain mod p.  m! work;
     reference implementation for tests and debug cross-checks."""
     terms = _terms(r)
-    if len(terms) > max_terms:
-        raise ValueError(f"naive verifier capped at m <= {max_terms}")
-    p = arith._as_prime(p)
-    return all(
-        _window_failure(perm, k, p, "chain") is None
-        for perm in permutations(terms)
-    )
+    return _subsets.naive_permutation_chain(terms, _ring(k, p), max_terms)
 
 
 @dataclass(frozen=True)
@@ -351,24 +167,13 @@ class ExceptionalPrimeSet:
         return len(self.primes)
 
 
-def _require_sum_distinct(terms, max_terms) -> None:
-    sd = is_sum_distinct(terms, max_terms=max_terms)
-    if not sd:
-        a, b = sd.collision
-        raise InvalidCandidateError(
-            f"candidate is not sum-distinct: term subsets {list(a)} and "
-            f"{list(b)} both sum to {sd.colliding_sum}")
-
-
 def exceptional_primes(r, *, max_terms: int = DEFAULT_MAX_TERMS) -> ExceptionalPrimeSet:
     """Union of the prime factors of all pairwise differences of subset sums.
 
     Requires a sum-distinct candidate (otherwise a difference is 0 and the
     set is ill-defined).  Quadratic in |E|, intended for small m.
     """
-    terms = _terms(r)
-    _require_sum_distinct(terms, max_terms)
-    values = sorted(_subsets.subset_values(terms))
+    values = sorted(_subsets.require_sum_distinct(_terms(r), max_terms))
     diffs = {values[j] - values[i]
              for i in range(len(values)) for j in range(i + 1, len(values))}
     primes: set[int] = set()
@@ -418,6 +223,18 @@ def _block_hits(values, spread, k, block) -> list[int]:
     return hits
 
 
+def _scan_prelude(r, k: int, max_terms: int):
+    """(sorted E, spread of E) for a prime scan, or None when r is not
+    sum-distinct and so admits no permutation-chain prime at all."""
+    terms = _terms(r)
+    _subsets.check_k(k)
+    sd, values = _subsets.sum_distinct(terms, max_terms)
+    if not sd:
+        return None
+    values = sorted(values)
+    return values, values[-1] - values[0]
+
+
 def chain_primes_in_range(r, k: int, lo: int, hi: int,
                           *, max_terms: int = DEFAULT_MAX_TERMS) -> list[int]:
     """Primes p in [lo, hi] for which r is a permutation chain mod p.
@@ -425,13 +242,10 @@ def chain_primes_in_range(r, k: int, lo: int, hi: int,
     Range-partitioned building block: concatenating the results of a
     partition of [2, limit] reproduces find_chain_primes(r, k, limit).
     """
-    terms = _terms(r)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not is_sum_distinct(terms, max_terms=max_terms):
+    prelude = _scan_prelude(r, k, max_terms)
+    if prelude is None:
         return []
-    values = sorted(_subsets.subset_values(terms))
-    spread = values[-1] - values[0]
+    values, spread = prelude
     hits: list[int] = []
     for block in arith.prime_blocks(lo, hi):
         hits.extend(_block_hits(values, spread, k, block.tolist()))
@@ -448,13 +262,12 @@ def find_chain_primes(r, k: int, limit: int, max_count: int | None = None,
     candidate that is not sum-distinct admits no permutation-chain prime at
     all, so the result is then [] without any scan.
     """
-    terms = _terms(r)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not is_sum_distinct(terms, max_terms=max_terms):
+    if max_count is not None and max_count < 1:
+        raise ValueError(f"max_count must be >= 1, got {max_count}")
+    prelude = _scan_prelude(r, k, max_terms)
+    if prelude is None:
         return []
-    values = sorted(_subsets.subset_values(terms))
-    spread = values[-1] - values[0]
+    values, spread = prelude
     hits: list[int] = []
     for block in arith.prime_blocks(2, limit):
         hits.extend(_block_hits(values, spread, k, block.tolist()))

@@ -382,7 +382,8 @@ def _run_density(cfg: RunConfig) -> tuple[dict, int]:
         report = kummer.density_report_from_counts(terms, cfg.k, cfg.limit,
                                                    total, hits)
     result = {
-        "sum_distinct": bool(chains.is_sum_distinct(terms)),
+        # only a sum-distinct candidate has hits
+        "sum_distinct": report.hits > 0 or bool(chains.is_sum_distinct(terms)),
         "limit": report.limit,
         "total_primes": report.total_primes,
         "hits": report.hits,

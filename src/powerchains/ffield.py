@@ -1,6 +1,7 @@
 """Polynomial chains over F_p[t]: dense polynomial arithmetic, irreducible
-moduli, kth power residue tests, and chain verification for polynomial
-candidates such as 1, t, t^2, ...
+moduli, kth power residue tests, and the search for chain moduli.  Chain
+verification for polynomial candidates such as 1, t, t^2, ... goes through
+the ring-generic chain core in `_subsets`, shared with the integers.
 
 The residue test uses the characteristic-p reduction: writing k = p^t * k'
 with gcd(k', p) = 1, an element is a kth power residue mod an irreducible f
@@ -22,14 +23,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
-from math import gcd
+from itertools import product
 
 from powerchains import _subsets, arith
-from powerchains._subsets import DEFAULT_MAX_TERMS
-from powerchains.chains import (ChainFailure, ChainVerdict, SumDistinctResult,
-                                SumSet, _ordinal)
-from powerchains.errors import InvalidCandidateError
+from powerchains._subsets import (DEFAULT_MAX_TERMS, ChainVerdict, SumDistinctResult,
+                                  SumSet)
 
 __all__ = [
     "FFPoly",
@@ -328,15 +326,16 @@ def is_irreducible(f: FFPoly) -> bool:
 _irreducible_cache: dict[tuple[int, int], tuple[FFPoly, ...]] = {}
 
 
+def _low_first(p: int, d: int):
+    """All coefficient d-tuples over F_p, lowest degree first, ascending by
+    base-p value."""
+    return (c[::-1] for c in product(range(p), repeat=d))
+
+
 def _monics(p: int, d: int):
     """All monic polynomials of degree d, ascending by base-p value."""
-    for v in range(p**d):
-        coeffs = []
-        x = v
-        for _ in range(d):
-            x, r = divmod(x, p)
-            coeffs.append(r)
-        yield FFPoly(p, tuple(coeffs) + (1,))
+    for coeffs in _low_first(p, d):
+        yield FFPoly(p, coeffs + (1,))
 
 
 def irreducibles_of_degree(p: int, d: int) -> list[FFPoly]:
@@ -410,6 +409,14 @@ def _strip_char(k: int, p: int) -> int:
     return k
 
 
+def _ring(k: int, f) -> _subsets.Ring:
+    _subsets.check_k(k)
+    f = _as_modulus(f)
+    exponent = _subsets.residue_exponent(_strip_char(k, f.p), f.p**f.degree)
+    return _subsets.Ring(f, k, exponent, powmod, FFPoly.one(f.p), _sort_key,
+                         f"in F_{f.p}[t]")
+
+
 def is_kth_residue_ff(a: FFPoly, k: int, f) -> bool:
     """True iff x^k = a (mod f) is solvable, f monic irreducible.
 
@@ -417,39 +424,15 @@ def is_kth_residue_ff(a: FFPoly, k: int, f) -> bool:
     and a nonzero residue class satisfies a^((q-1)/g) = 1 with q the residue
     field size and g = gcd(k', q-1).
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    f = _as_modulus(f)
-    if a.p != f.p:
-        raise ValueError(f"characteristic mismatch: F_{a.p} vs F_{f.p}")
-    kp = _strip_char(k, f.p)
-    a = a % f
-    if a.is_zero():
-        return True
-    q = f.p**f.degree
-    g = gcd(kp, q - 1)
-    if g == 1:
-        return True
-    return powmod(a, (q - 1) // g, f) == FFPoly.one(f.p)
+    ring = _ring(k, f)
+    return ring.is_residue(a % ring.modulus)  # raises on a characteristic mismatch
 
 
 def residue_field(f) -> list[FFPoly]:
     """All residue classes mod f (every polynomial of degree < deg f),
     ascending by base-p value."""
     f = _as_modulus(f)
-    p, d = f.p, f.degree
-    out = []
-    for v in range(p**d):
-        coeffs = []
-        x = v
-        for _ in range(d):
-            x, r = divmod(x, p)
-            coeffs.append(r)
-        out.append(FFPoly(p, tuple(coeffs)))
-    return out
-
-
-# -- chain semantics, mirroring the integer module -------------------------
+    return [FFPoly(f.p, coeffs) for coeffs in _low_first(f.p, f.degree)]
 
 
 def _ff_terms(r) -> tuple[FFPoly, ...]:
@@ -467,158 +450,40 @@ def _ff_terms(r) -> tuple[FFPoly, ...]:
 def ff_subset_sums(r, *, max_terms: int = DEFAULT_MAX_TERMS,
                    with_witnesses: bool = False) -> SumSet:
     """All nonempty subset sums of a polynomial candidate (exact, in F_p[t])."""
-    terms = _ff_terms(r)
-    _subsets.check_term_cap(len(terms), max_terms)
-    if with_witnesses:
-        witnesses = _subsets.subset_value_witnesses(terms)
-        return SumSet(frozenset(witnesses), witnesses, len(terms))
-    return SumSet(frozenset(_subsets.subset_values(terms)), None, len(terms))
+    return _subsets.sum_set(_ff_terms(r), max_terms, with_witnesses)
 
 
 def ff_is_sum_distinct(r, *, max_terms: int = DEFAULT_MAX_TERMS) -> SumDistinctResult:
     """Candidate condition over F_p[t]: all 2^m - 1 subset sums distinct
     as polynomials (coefficient arithmetic mod p)."""
-    terms = _ff_terms(r)
-    _subsets.check_term_cap(len(terms), max_terms)
-    values = _subsets.subset_values(terms)
-    if len(values) == (1 << len(terms)) - 1:
-        return SumDistinctResult(True)
-    a, b, s = _subsets.first_sum_collision(terms)
-    return SumDistinctResult(False, (a, b), s)
-
-
-def _ff_window_failure(terms, k, kp, f: FFPoly, level: str,
-                       prefix: str = "") -> ChainFailure | None:
-    # k is the user's exponent (for messages), kp its prime-to-p part
-    p = f.p
-    q = p**f.degree
-    g = gcd(kp, q - 1)
-    e = (q - 1) // g
-    one = FFPoly.one(p)
-    seen: dict[FFPoly, FFPoly] = {}
-    m = len(terms)
-    for i in range(m):
-        s = FFPoly.zero(p)
-        for j in range(i, m):
-            s = s + terms[j]
-            a = s % f
-            if g > 1 and not a.is_zero() and a != one and powmod(a, e, f) != one:
-                return ChainFailure(
-                    level, "non_residue", (s,),
-                    f"{prefix}window sum {s} is not a "
-                    f"{_ordinal(k)} power residue mod {f}")
-            if a in seen:
-                desc = (f"{prefix}window sum {s} occurs twice mod {f}"
-                        if seen[a] == s else
-                        f"{prefix}window sums {seen[a]} and {s} are congruent mod {f}")
-                return ChainFailure(level, "collision", (seen[a], s), desc)
-            seen[a] = s
-    return None
+    return _subsets.sum_distinct(_ff_terms(r), max_terms)[0]
 
 
 def ff_is_chain(r, k: int, f) -> bool:
     """Window sums of r distinct mod f and all kth power residues."""
     terms = _ff_terms(r)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    f = _as_modulus(f)
-    return _ff_window_failure(terms, k, _strip_char(k, f.p), f, "chain") is None
+    return _subsets.window_failure(terms, _ring(k, f), "chain") is None
 
 
 def ff_is_cyclic_chain(r, k: int, f) -> bool:
     """Every rotation of r is a chain mod f."""
     terms = _ff_terms(r)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    f = _as_modulus(f)
-    return _ff_cyclic_failure(terms, k, _strip_char(k, f.p), f) is None
-
-
-def _ff_cyclic_failure(terms, k, kp, f) -> ChainFailure | None:
-    for i in range(len(terms)):
-        rotated = terms[i:] + terms[:i]
-        prefix = f"rotation starting at term {i + 1}: " if i else ""
-        fail = _ff_window_failure(rotated, k, kp, f, "cyclic", prefix)
-        if fail is not None:
-            return fail
-    return None
-
-
-def _ff_permutation_failure(terms, k, kp, f, max_terms) -> ChainFailure | None:
-    sd = ff_is_sum_distinct(terms, max_terms=max_terms)
-    if not sd:
-        a, b = sd.collision
-        return ChainFailure(
-            "permutation", "collision", (sd.colliding_sum, sd.colliding_sum),
-            f"subset sums collide in F_{f.p}[t]: term subsets {list(a)} and "
-            f"{list(b)} both sum to {sd.colliding_sum}")
-    values = sorted(_subsets.subset_values(terms), key=_sort_key)
-    seen: dict[FFPoly, FFPoly] = {}
-    for s in values:
-        a = s % f
-        if a in seen:
-            return ChainFailure(
-                "permutation", "collision", (seen[a], s),
-                f"subset sums {seen[a]} and {s} are congruent mod {f}")
-        seen[a] = s
-    q = f.p**f.degree
-    g = gcd(kp, q - 1)
-    if g > 1:
-        e = (q - 1) // g
-        one = FFPoly.one(f.p)
-        for s in values:
-            a = s % f
-            if not a.is_zero() and a != one and powmod(a, e, f) != one:
-                return ChainFailure(
-                    "permutation", "non_residue", (s,),
-                    f"subset sum {s} is not a {_ordinal(k)} power residue mod {f}")
-    return None
+    return _subsets.cyclic_failure(terms, _ring(k, f)) is None
 
 
 def ff_is_permutation_chain(r, k: int, f, *, max_terms: int = DEFAULT_MAX_TERMS,
                             debug: bool = False) -> ChainVerdict:
-    """Chain / cyclic / permutation verdict mod an irreducible f, mirroring
-    the integer module: the permutation level is exact sum-distinctness in
-    F_p[t] plus distinctness and residueness of the subset sums mod f."""
+    """Chain / cyclic / permutation verdict mod an irreducible f: the
+    permutation level is exact sum-distinctness in F_p[t] plus distinctness
+    and residueness of the subset sums mod f."""
     terms = _ff_terms(r)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    f = _as_modulus(f)
-    kp = _strip_char(k, f.p)
-
-    chain_fail = _ff_window_failure(terms, k, kp, f, "chain")
-    cyclic_fail = (chain_fail if chain_fail is not None
-                   else _ff_cyclic_failure(terms, k, kp, f))
-    perm_fail = (cyclic_fail if cyclic_fail is not None
-                 else _ff_permutation_failure(terms, k, kp, f, max_terms))
-    verdict = ChainVerdict(
-        is_chain=chain_fail is None,
-        is_cyclic=cyclic_fail is None,
-        is_permutation=perm_fail is None,
-        failure_witness=perm_fail,
-    )
-    if debug:
-        if len(terms) > 6:
-            raise ValueError("debug cross-check is limited to m <= 6")
-        naive = naive_ff_permutation_chain(terms, k, f)
-        if naive != verdict.is_permutation:
-            raise AssertionError(
-                f"subset-based verdict {verdict.is_permutation} disagrees with "
-                f"all-permutations verdict {naive} for {terms}, k={k}, f={f!r}")
-    return verdict
+    return _subsets.verdict(terms, _ring(k, f), max_terms, debug)
 
 
 def naive_ff_permutation_chain(r, k: int, f, *, max_terms: int = 8) -> bool:
     """Literal all-orderings verifier; reference implementation."""
     terms = _ff_terms(r)
-    if len(terms) > max_terms:
-        raise ValueError(f"naive verifier capped at m <= {max_terms}")
-    f = _as_modulus(f)
-    kp = _strip_char(k, f.p)
-    return all(
-        _ff_window_failure(perm, k, kp, f, "chain") is None
-        for perm in permutations(terms)
-    )
+    return _subsets.naive_permutation_chain(terms, _ring(k, f), max_terms)
 
 
 def find_chain_irreducibles(r, k: int, p: int, max_degree: int,
@@ -633,40 +498,18 @@ def find_chain_irreducibles(r, k: int, p: int, max_degree: int,
     _check_characteristic(p)
     if terms[0].p != p:
         raise ValueError(f"candidate lives over F_{terms[0].p}, not F_{p}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _subsets.check_k(k)
     if max_degree < 1:
         raise ValueError(f"max_degree must be >= 1, got {max_degree}")
-    sd = ff_is_sum_distinct(terms, max_terms=max_terms)
-    if not sd:
-        a, b = sd.collision
-        raise InvalidCandidateError(
-            f"candidate is not sum-distinct over F_{p}[t]: term subsets "
-            f"{list(a)} and {list(b)} both sum to {sd.colliding_sum}")
-    values = sorted(_subsets.subset_values(terms), key=_sort_key)
+    values = sorted(_subsets.require_sum_distinct(terms, max_terms, f" over F_{p}[t]"),
+                    key=_sort_key)
     max_value_degree = max(v.degree for v in values)
-    kp = _strip_char(k, p)
-    one = FFPoly.one(p)
     out: list[IrreducibleModulus] = []
     for d in range(1, max_degree + 1):
-        q = p**d
-        g = gcd(kp, q - 1)
-        e = (q - 1) // g
         for f in irreducibles_of_degree(p, d):
-            if d <= max_value_degree:
-                reduced = {v % f for v in values}
-                if len(reduced) != len(values):
-                    continue
-            else:
-                reduced = None
-            if g > 1:
-                source = reduced if reduced is not None else (v % f for v in values)
-                ok = True
-                for a in source:
-                    if not a.is_zero() and a != one and powmod(a, e, f) != one:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-            out.append(IrreducibleModulus._trusted(f))
+            modulus = IrreducibleModulus._trusted(f)
+            # sums of degree < d are their own distinct residues
+            if _subsets.modulus_defect(values, _ring(k, modulus),
+                                       distinct=d <= max_value_degree) is None:
+                out.append(modulus)
     return out

@@ -68,8 +68,7 @@ def exponent_vector(a: int, k: int) -> ExponentVector:
     """
     if a == 0:
         raise ValueError("0 has no class modulo kth powers")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _subsets.check_k(k)
     if k == 1:
         return ExponentVector(1, ())
     coords = []
@@ -160,8 +159,7 @@ def class_group(E, k: int, *, max_terms: int = DEFAULT_MAX_TERMS) -> KummerClass
     excluded but counted.  The order is computed by gcd elimination over the
     lifted integer matrix, which handles non-prime k exactly.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _subsets.check_k(k)
     if isinstance(E, chains.SumSet):
         elements = sorted(E.values)
     else:
@@ -219,19 +217,12 @@ def density_counts_in_range(r, k: int, lo: int, hi: int,
     Range-partitioned building block: summing the pairs over a partition of
     [2, limit] reproduces the counts of empirical_density.
     """
-    terms = chains._terms(r)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    prelude = chains._scan_prelude(r, k, max_terms)
     total = hits = 0
-    if not chains.is_sum_distinct(terms, max_terms=max_terms):
-        for block in arith.prime_blocks(lo, hi):
-            total += len(block)
-        return total, 0
-    values = sorted(_subsets.subset_values(terms))
-    spread = values[-1] - values[0]
     for block in arith.prime_blocks(lo, hi):
         total += len(block)
-        hits += len(chains._block_hits(values, spread, k, block.tolist()))
+        if prelude is not None:
+            hits += len(chains._block_hits(*prelude, k, block.tolist()))
     return total, hits
 
 
@@ -239,9 +230,9 @@ def density_report_from_counts(r, k: int, limit: int, total: int, hits: int,
                                *, max_terms: int = DEFAULT_MAX_TERMS) -> DensityReport:
     """Assemble a DensityReport from externally accumulated counts."""
     terms = chains._terms(r)
-    values = _subsets.subset_values(terms)
+    sd, values = _subsets.sum_distinct(terms, max_terms)
     predicted = predicted_density(values, k)
-    if chains.is_sum_distinct(terms, max_terms=max_terms):
+    if sd:
         exceptional = tuple(p for p in chains.exceptional_primes(terms, max_terms=max_terms)
                             if p <= limit)
     else:

@@ -306,6 +306,15 @@ def test_range_partition_reassembles_full_search():
 def test_find_chain_primes_rejects_bad_k():
     with pytest.raises(ValueError):
         find_chain_primes([1, 2, 4], 0, 100)
+    for call in (lambda: chain_primes_in_range([1, 2, 4], 0, 2, 100),
+                 lambda: is_chain([1, 2, 4], 0, 7),
+                 lambda: is_cyclic_chain([1, 2, 4], 0, 7),
+                 lambda: is_permutation_chain([1, 2, 4], 0, 7),
+                 lambda: naive_permutation_chain([1, 2, 4], 0, 7),
+                 lambda: naive_permutation_chain([1, 2, 4], -3, 7),
+                 lambda: find_chain_primes([1, 2, 4], 2, 100, max_count=-1)):
+        with pytest.raises(ValueError):
+            call()
 
 
 # ---------- candidate generators ----------

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from powerchains.chains import is_permutation_chain
 from powerchains.errors import InvalidCandidateError, SizeLimitError
 from powerchains.ffield import (
     FFPoly,
@@ -226,6 +227,14 @@ def test_kth_residue_ff_validation():
         is_kth_residue_ff(FFPoly.gen(5), 2, f)
     with pytest.raises(ValueError):
         is_kth_residue_ff(FFPoly.gen(3), 2, P(3, 0, 0, 1))  # reducible modulus
+    r = [FFPoly.one(3), FFPoly.gen(3)]
+    for call in (ff_is_chain, ff_is_cyclic_chain, ff_is_permutation_chain,
+                 naive_ff_permutation_chain):
+        for k in (0, -3):
+            with pytest.raises(ValueError):
+                call(r, k, f)
+    with pytest.raises(ValueError):
+        find_chain_irreducibles(r, 0, 3, 2)
 
 
 # ---------- polynomial chains ----------
@@ -287,6 +296,48 @@ def test_ff_verdict_hierarchy_and_naive_oracle():
         assert v.is_chain == ff_is_chain(terms, k, f)
         assert v.is_cyclic == ff_is_cyclic_chain(terms, k, f)
         assert v.is_permutation == naive_ff_permutation_chain(terms, k, f), (terms, k, f)
+
+
+def test_constant_polynomials_agree_with_integers_mod_p():
+    # constants mod t - a are the integers mod p, and the prime-to-p part k'
+    # of k has gcd(k', p - 1) = gcd(k, p - 1), so every verdict level agrees
+    rng = random.Random(29)
+    for p in (2, 3, 5, 7, 11, 13):
+        for k in range(1, 13):
+            for _ in range(6):
+                seq = [rng.randrange(-20, 21) for _ in range(rng.randrange(1, 6))]
+                f = FFPoly(p, (-rng.randrange(p), 1))
+                v = is_permutation_chain(seq, k, p)
+                w = ff_is_permutation_chain([FFPoly.constant(p, c) for c in seq], k, f)
+                assert (w.is_chain, w.is_cyclic, w.is_permutation) == \
+                    (v.is_chain, v.is_cyclic, v.is_permutation), (seq, k, p, f)
+
+
+@pytest.mark.parametrize("terms, k, modulus, level, kind, description", [
+    (["GF(3)[2]", "GF(3)[1]", "GF(3)[0,2]"], 2, "GF(3)[0,1]", "chain", "non_residue",
+     "window sum 2 is not a 2nd power residue mod t"),
+    (["GF(5)[1]", "GF(5)[4]", "GF(5)[1]"], 2, "GF(5)[0,1]", "chain", "collision",
+     "window sum 1 occurs twice mod t"),
+    (["GF(3)[0,1]", "GF(3)[1]", "GF(3)[2,2]"], 2, "GF(3)[0,1]", "chain", "collision",
+     "window sums t and 0 are congruent mod t"),
+    (["GF(7)[1]", "GF(7)[4,4]", "GF(7)[4]"], 2, "GF(7)[4,0,0,1]", "cyclic", "non_residue",
+     "rotation starting at term 2: window sum 5 is not a 2nd power residue mod t^3 + 4"),
+    (["GF(7)[2]", "GF(7)[6]", "GF(7)[4]"], 2, "GF(7)[2,0,1]", "cyclic", "collision",
+     "rotation starting at term 2: window sum 6 occurs twice mod t^2 + 2"),
+    (["GF(5)[1]", "GF(5)[0,1]", "GF(5)[0,0,0,1]", "GF(5)[0,0,1]"], 2, "GF(5)[1,2,2,1,1]",
+     "permutation", "non_residue",
+     "subset sum t^3 + 1 is not a 2nd power residue mod t^4 + t^3 + 2t^2 + 2t + 1"),
+    (["GF(5)[1]", "GF(5)[0,1]", "GF(5)[0,0,1]", "GF(5)[0,0,0,1]"], 1, "GF(5)[4,1,0,1]",
+     "permutation", "collision",
+     "subset sums 1 and t^3 + t are congruent mod t^3 + t + 4"),
+    (["GF(5)[1]", "GF(5)[2,2]", "GF(5)[3]", "GF(5)[4,3]"], 3, "GF(5)[3,0,4,1]",
+     "permutation", "collision",
+     "subset sums collide in F_5[t]: term subsets [1] and [2, 4] both sum to 1"),
+])
+def test_ff_failure_descriptions(terms, k, modulus, level, kind, description):
+    r = [poly_from_text(t) for t in terms]
+    witness = ff_is_permutation_chain(r, k, poly_from_text(modulus)).failure_witness
+    assert (witness.level, witness.kind, witness.description) == (level, kind, description)
 
 
 def test_ff_permutation_chain_debug_mode():
