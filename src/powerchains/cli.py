@@ -37,6 +37,7 @@ from powerchains.errors import InvalidCandidateError
 
 SCHEMA_VERSION = 1
 WORKERS_ENV_VAR = "POWERCHAINS_WORKERS"
+_SERIAL_LIMIT = 10**4  # search and density below this limit run in one process
 
 TABLE, JSON, CSV = "table", "json", "csv"
 CSV_COMMANDS = {"search", "ff-search", "density", "exceptional"}
@@ -337,27 +338,28 @@ def _partition(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
     return out
 
 
-def _search_worker(args):
-    terms, k, lo, hi = args
-    return chains.chain_primes_in_range(terms, k, lo, hi)
-
-
-def _density_worker(args):
-    terms, k, lo, hi = args
-    return kummer.density_counts_in_range(terms, k, lo, hi)
+def _over_range(scan, cfg: RunConfig) -> list:
+    """scan(terms, k, lo, hi) over a partition of [2, limit], one part per
+    process and at most one process per core; the parts' results in range
+    order.  Short ranges and a single part run in this process."""
+    workers = min(cfg.workers, os.cpu_count() or 1)
+    if workers == 1 or cfg.limit < _SERIAL_LIMIT:
+        return [scan(cfg.sequence, cfg.k, 2, cfg.limit)]
+    los, his = zip(*_partition(2, cfg.limit, workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(scan, [cfg.sequence] * workers, [cfg.k] * workers,
+                             los, his))
 
 
 def _run_search(cfg: RunConfig) -> tuple[dict, int]:
     terms = cfg.sequence
     sd = bool(chains.is_sum_distinct(terms))
-    if not sd or cfg.max_count is not None or cfg.workers == 1 or cfg.limit < 10**4:
+    if sd and cfg.max_count is None:
+        primes = [p for part in _over_range(chains.chain_primes_in_range, cfg)
+                  for p in part]
+    else:
         primes = chains.find_chain_primes(terms, cfg.k, cfg.limit,
                                           max_count=cfg.max_count)
-    else:
-        jobs = [(terms, cfg.k, lo, hi)
-                for lo, hi in _partition(2, cfg.limit, cfg.workers)]
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            primes = [p for part in pool.map(_search_worker, jobs) for p in part]
     exceptional = list(chains.exceptional_primes(terms)) if sd else []
     result = {
         "sum_distinct": sd,
@@ -370,17 +372,9 @@ def _run_search(cfg: RunConfig) -> tuple[dict, int]:
 
 def _run_density(cfg: RunConfig) -> tuple[dict, int]:
     terms = cfg.sequence
-    if cfg.workers == 1 or cfg.limit < 10**4:
-        report = kummer.empirical_density(terms, cfg.k, cfg.limit)
-    else:
-        jobs = [(terms, cfg.k, lo, hi)
-                for lo, hi in _partition(2, cfg.limit, cfg.workers)]
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            counts = list(pool.map(_density_worker, jobs))
-        total = sum(t for t, _ in counts)
-        hits = sum(h for _, h in counts)
-        report = kummer.density_report_from_counts(terms, cfg.k, cfg.limit,
-                                                   total, hits)
+    counts = _over_range(kummer.density_counts_in_range, cfg)
+    report = kummer.density_report_from_counts(
+        terms, cfg.k, cfg.limit, sum(t for t, _ in counts), sum(h for _, h in counts))
     result = {
         # only a sum-distinct candidate has hits
         "sum_distinct": report.hits > 0 or bool(chains.is_sum_distinct(terms)),

@@ -342,23 +342,19 @@ def irreducibles_of_degree(p: int, d: int) -> list[FFPoly]:
     """All monic irreducibles of degree exactly d, in lexicographic
     (base-p value) order.
 
-    Degrees up to 4 are sieved by exhaustive trial division against
-    lower-degree irreducibles (the same method doubles as the test oracle);
-    beyond that the Rabin criterion filters the monic candidates.
+    Trial division: a monic of degree d is kept iff no monic irreducible of
+    degree <= d/2 divides it.  The Rabin criterion (`is_irreducible`) is the
+    independent check of this list.
     """
     _check_characteristic(p)
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
     key = (p, d)
     if key not in _irreducible_cache:
-        if d <= 4:
-            lower = [g for dd in range(1, d // 2 + 1)
-                     for g in irreducibles_of_degree(p, dd)]
-            out = [f for f in _monics(p, d)
-                   if all((f % g).coeffs for g in lower)]
-        else:
-            out = [f for f in _monics(p, d) if is_irreducible(f)]
-        _irreducible_cache[key] = tuple(out)
+        lower = [g for dd in range(1, d // 2 + 1)
+                 for g in irreducibles_of_degree(p, dd)]
+        _irreducible_cache[key] = tuple(
+            f for f in _monics(p, d) if all((f % g).coeffs for g in lower))
     return list(_irreducible_cache[key])
 
 

@@ -152,7 +152,7 @@ class KummerClassGroup:
     excluded_zeros: int = 0
 
 
-def class_group(E, k: int, *, max_terms: int = DEFAULT_MAX_TERMS) -> KummerClassGroup:
+def class_group(E, k: int) -> KummerClassGroup:
     """Class group data for a subset-sum set (or any iterable of integers).
 
     Zero elements generate nothing (0 is a residue at every prime) and are
@@ -228,7 +228,10 @@ def density_counts_in_range(r, k: int, lo: int, hi: int,
 
 def density_report_from_counts(r, k: int, limit: int, total: int, hits: int,
                                *, max_terms: int = DEFAULT_MAX_TERMS) -> DensityReport:
-    """Assemble a DensityReport from externally accumulated counts."""
+    """Assemble a DensityReport from externally accumulated counts over the
+    primes in [2, limit]."""
+    if limit < 2:
+        raise ValueError(f"limit must be >= 2, got {limit}")
     terms = chains._terms(r)
     sd, values = _subsets.sum_distinct(terms, max_terms)
     predicted = predicted_density(values, k)
@@ -252,7 +255,5 @@ def empirical_density(r, k: int, limit: int,
     and the predicted bound describes only the residue condition on the
     deduplicated subset-sum set, which no longer implies a chain.
     """
-    if limit < 2:
-        raise ValueError(f"limit must be >= 2, got {limit}")
     total, hits = density_counts_in_range(r, k, 2, limit, max_terms=max_terms)
     return density_report_from_counts(r, k, limit, total, hits, max_terms=max_terms)

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from powerchains import __version__
+from powerchains import __version__, cli
 from powerchains.cli import main, parse_int_sequence, parse_poly_sequence
 
 # pytest runs these via main() to keep them fast; one subprocess test at the
@@ -278,6 +278,61 @@ def test_density_workers_determinism(capsys):
                                  "--limit", "30000", "--workers", workers)
         results.append(payload["result"])
     assert results[0] == results[1]
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Stand-in for the process pool that maps in this process; the list it
+    returns records the max_workers of each pool built."""
+    built = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    return built
+
+
+def test_workers_capped_at_core_count(capsys, monkeypatch, fake_pool):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    for command in ("search", "density"):
+        args = (command, "--k", "2", "--seq", "1,2,4", "--limit", "20000")
+        _, serial = run_json(capsys, *args, "--workers", "1")
+        _, wide = run_json(capsys, *args, "--workers", "100000")
+        assert wide["config"]["workers"] == 100000
+        assert wide["result"] == serial["result"]
+    assert fake_pool == [3, 3]
+
+
+def test_search_not_sum_distinct_starts_no_pool(capsys, monkeypatch, fake_pool):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    args = ("search", "--k", "2", "--seq", "1,2,3", "--limit", "20000", "--json")
+    outs = []
+    for workers in ("1", "2"):
+        code, out, _ = run(capsys, *args, "--workers", workers)
+        assert code == 1
+        outs.append(out.replace(f'"workers": {workers}', '"workers": W'))
+    assert outs[0] == outs[1]
+    assert fake_pool == []
+
+
+def test_density_limit_below_two_exits_2(capsys):
+    for workers in ("1", "2"):
+        code, out, err = run(capsys, "density", "--k", "2", "--seq", "1,2,4",
+                             "--limit", "1", "--workers", workers)
+        assert code == 2
+        assert out == ""
+        assert "limit must be >= 2" in err
 
 
 def test_workers_env_var_default(capsys, monkeypatch):

@@ -136,15 +136,13 @@ def test_is_irreducible_examples():
 
 
 def test_is_irreducible_matches_trial_division():
-    # exhaustive divisor-search oracle for degree <= 4
-    for p in (2, 3, 5):
-        for d in range(2, 5):
-            lower = [g for dd in range(1, d // 2 + 1)
-                     for g in irreducibles_of_degree(p, dd)]
-            for low in product(range(p), repeat=d):
-                f = FFPoly(p, tuple(low) + (1,))
-                brute = all((f % g).coeffs for g in lower)
-                assert is_irreducible(f) == brute, f
+    # the trial-division enumeration against the Rabin criterion over every
+    # monic, in base-p value order
+    for p, top in ((2, 9), (3, 6), (5, 5)):
+        for d in range(1, top + 1):
+            monics = [FFPoly(p, low[::-1] + (1,)) for low in product(range(p), repeat=d)]
+            assert irreducibles_of_degree(p, d) == \
+                [f for f in monics if is_irreducible(f)], (p, d)
 
 
 def test_irreducibles_of_degree_examples():
