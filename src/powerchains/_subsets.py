@@ -20,14 +20,15 @@ from typing import Callable
 
 from powerchains.errors import InvalidCandidateError, SizeLimitError
 
-DEFAULT_MAX_TERMS = 24
+MAX_TERMS = 24  # E has up to 2^m - 1 elements
+NAIVE_MAX_TERMS = 8  # the all-orderings verifier does m! work
 
 
-def check_term_cap(n_terms: int, max_terms: int) -> None:
-    if n_terms > max_terms:
+def check_term_cap(n_terms: int) -> None:
+    if n_terms > MAX_TERMS:
         raise SizeLimitError(
-            f"sequence has {n_terms} terms, above the subset-sum cap of "
-            f"{max_terms}; raise max_terms explicitly to override")
+            f"sequence has {n_terms} terms, above the fixed subset-sum cap "
+            f"of {MAX_TERMS} terms")
 
 
 def check_k(k: int) -> None:
@@ -126,8 +127,8 @@ class SumSet:
         return out
 
 
-def sum_set(terms, max_terms: int, with_witnesses: bool) -> SumSet:
-    check_term_cap(len(terms), max_terms)
+def sum_set(terms, with_witnesses: bool) -> SumSet:
+    check_term_cap(len(terms))
     if with_witnesses:
         witnesses = subset_value_witnesses(terms)
         return SumSet(frozenset(witnesses), witnesses, len(terms))
@@ -148,13 +149,13 @@ class SumDistinctResult:
         return self.distinct
 
 
-def sum_distinct(terms, max_terms: int) -> tuple[SumDistinctResult, set]:
+def sum_distinct(terms) -> tuple[SumDistinctResult, set]:
     """The candidate condition together with the subset-sum set E it builds.
 
     E is returned either way; it is deduplicated when the candidate is not
     sum-distinct.  The collision witness is the first in bitmask order.
     """
-    check_term_cap(len(terms), max_terms)
+    check_term_cap(len(terms))
     values = subset_values(terms)
     if len(values) == (1 << len(terms)) - 1:
         return SumDistinctResult(True), values
@@ -162,9 +163,9 @@ def sum_distinct(terms, max_terms: int) -> tuple[SumDistinctResult, set]:
     return SumDistinctResult(False, (a, b), s), values
 
 
-def require_sum_distinct(terms, max_terms: int, where: str = "") -> set:
+def require_sum_distinct(terms, where: str = "") -> set:
     """E for a sum-distinct candidate; InvalidCandidateError otherwise."""
-    sd, values = sum_distinct(terms, max_terms)
+    sd, values = sum_distinct(terms)
     if not sd:
         a, b = sd.collision
         raise InvalidCandidateError(
@@ -299,8 +300,8 @@ def modulus_defect(values, ring: Ring, distinct: bool = True):
     return None
 
 
-def permutation_failure(terms, ring: Ring, max_terms: int) -> ChainFailure | None:
-    sd, values = sum_distinct(terms, max_terms)
+def permutation_failure(terms, ring: Ring) -> ChainFailure | None:
+    sd, values = sum_distinct(terms)
     if not sd:
         a, b = sd.collision
         return ChainFailure(
@@ -319,14 +320,14 @@ def permutation_failure(terms, ring: Ring, max_terms: int) -> ChainFailure | Non
     return ChainFailure("permutation", kind, found, desc)
 
 
-def verdict(terms, ring: Ring, max_terms: int, debug: bool) -> ChainVerdict:
+def verdict(terms, ring: Ring, debug: bool) -> ChainVerdict:
     """Full verdict; failure_witness describes the first violated sum of the
     weakest failing level.  debug=True cross-checks the permutation level
     against the all-orderings verifier (m <= 6 only)."""
     chain_fail = window_failure(terms, ring, "chain")
     cyclic_fail = chain_fail if chain_fail is not None else cyclic_failure(terms, ring)
     perm_fail = (cyclic_fail if cyclic_fail is not None
-                 else permutation_failure(terms, ring, max_terms))
+                 else permutation_failure(terms, ring))
     result = ChainVerdict(
         is_chain=chain_fail is None,
         is_cyclic=cyclic_fail is None,
@@ -336,7 +337,7 @@ def verdict(terms, ring: Ring, max_terms: int, debug: bool) -> ChainVerdict:
     if debug:
         if len(terms) > 6:
             raise ValueError("debug cross-check is limited to m <= 6")
-        naive = naive_permutation_chain(terms, ring, 6)
+        naive = naive_permutation_chain(terms, ring)
         if naive != result.is_permutation:
             raise AssertionError(
                 f"subset-based verdict {result.is_permutation} disagrees with "
@@ -345,9 +346,9 @@ def verdict(terms, ring: Ring, max_terms: int, debug: bool) -> ChainVerdict:
     return result
 
 
-def naive_permutation_chain(terms, ring: Ring, max_terms: int) -> bool:
+def naive_permutation_chain(terms, ring: Ring) -> bool:
     """Literal definition: every ordering of terms is a chain.  m! work."""
-    if len(terms) > max_terms:
-        raise ValueError(f"naive verifier capped at m <= {max_terms}")
+    if len(terms) > NAIVE_MAX_TERMS:
+        raise ValueError(f"naive verifier capped at m <= {NAIVE_MAX_TERMS}")
     return all(window_failure(perm, ring, "chain") is None
                for perm in permutations(terms))

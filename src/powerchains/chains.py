@@ -24,11 +24,11 @@ all-permutations definition, never assumed silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd
 
 from powerchains import _subsets, arith
-from powerchains._subsets import (DEFAULT_MAX_TERMS, ChainFailure, ChainVerdict,
-                                  SumDistinctResult, SumSet)
+from powerchains._subsets import ChainFailure, ChainVerdict, SumDistinctResult, SumSet
 from powerchains.errors import OverflowLimitError
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "find_chain_primes",
     "chain_primes_in_range",
     "vegh_sequence",
-    "DEFAULT_MAX_TERMS",
 ]
 
 
@@ -94,25 +93,24 @@ def _ring(k: int, p) -> _subsets.Ring:
                          "over the integers")
 
 
-def subset_sums(r, *, max_terms: int = DEFAULT_MAX_TERMS,
-                with_witnesses: bool = False) -> SumSet:
+def subset_sums(r, *, with_witnesses: bool = False) -> SumSet:
     """All 2^m - 1 nonempty subset sums of r, computed in O(2^m).
 
     This set equals the set of window sums taken over every reordering of r;
-    see the module docstring.  Sequences longer than `max_terms` raise
-    SizeLimitError.
+    see the module docstring.  Sequences of more than 24 terms (the fixed
+    subset-sum cap) raise SizeLimitError.
     """
-    return _subsets.sum_set(_terms(r), max_terms, with_witnesses)
+    return _subsets.sum_set(_terms(r), with_witnesses)
 
 
-def is_sum_distinct(r, *, max_terms: int = DEFAULT_MAX_TERMS) -> SumDistinctResult:
+def is_sum_distinct(r) -> SumDistinctResult:
     """Check the candidate condition: 2^m - 1 pairwise-distinct subset sums.
 
     Equivalent to requiring the m(m+1)/2 window sums of every reordering to be
     distinct.  The witness, when present, is the first collision in bitmask
     order.
     """
-    return _subsets.sum_distinct(_terms(r), max_terms)[0]
+    return _subsets.sum_distinct(_terms(r))[0]
 
 
 def is_chain(r, k: int, p) -> bool:
@@ -128,8 +126,7 @@ def is_cyclic_chain(r, k: int, p) -> bool:
     return _subsets.cyclic_failure(terms, _ring(k, p)) is None
 
 
-def is_permutation_chain(r, k: int, p, *, max_terms: int = DEFAULT_MAX_TERMS,
-                         debug: bool = False) -> ChainVerdict:
+def is_permutation_chain(r, k: int, p, *, debug: bool = False) -> ChainVerdict:
     """Full verdict for r mod p: chain, cyclic chain, permutation chain.
 
     The permutation level is decided over the subset-sum set E in O(2^m)
@@ -140,14 +137,14 @@ def is_permutation_chain(r, k: int, p, *, max_terms: int = DEFAULT_MAX_TERMS,
     level.
     """
     terms = _terms(r)
-    return _subsets.verdict(terms, _ring(k, p), max_terms, debug)
+    return _subsets.verdict(terms, _ring(k, p), debug)
 
 
-def naive_permutation_chain(r, k: int, p, *, max_terms: int = 8) -> bool:
+def naive_permutation_chain(r, k: int, p) -> bool:
     """Literal definition: every ordering of r is a chain mod p.  m! work;
-    reference implementation for tests and debug cross-checks."""
+    reference implementation for tests and debug cross-checks, m <= 8."""
     terms = _terms(r)
-    return _subsets.naive_permutation_chain(terms, _ring(k, p), max_terms)
+    return _subsets.naive_permutation_chain(terms, _ring(k, p))
 
 
 @dataclass(frozen=True)
@@ -167,13 +164,13 @@ class ExceptionalPrimeSet:
         return len(self.primes)
 
 
-def exceptional_primes(r, *, max_terms: int = DEFAULT_MAX_TERMS) -> ExceptionalPrimeSet:
+def exceptional_primes(r) -> ExceptionalPrimeSet:
     """Union of the prime factors of all pairwise differences of subset sums.
 
     Requires a sum-distinct candidate (otherwise a difference is 0 and the
     set is ill-defined).  Quadratic in |E|, intended for small m.
     """
-    values = sorted(_subsets.require_sum_distinct(_terms(r), max_terms))
+    values = sorted(_subsets.require_sum_distinct(_terms(r)))
     diffs = {values[j] - values[i]
              for i in range(len(values)) for j in range(i + 1, len(values))}
     primes: set[int] = set()
@@ -223,37 +220,35 @@ def _block_hits(values, spread, k, block) -> list[int]:
     return hits
 
 
-def _scan_prelude(r, k: int, max_terms: int):
-    """(sorted E, spread of E) for a prime scan, or None when r is not
-    sum-distinct and so admits no permutation-chain prime at all."""
+def _scan(r, k: int, lo: int, hi: int, *, sweep: bool = False):
+    """(number of primes, permutation-chain primes) for each prime block of
+    [lo, hi], with E built once.
+
+    A candidate that is not sum-distinct admits no permutation-chain prime
+    at all: its blocks are swept, with no hits, only when `sweep` is set (to
+    count the primes); otherwise nothing is yielded and nothing is sieved.
+    """
     terms = _terms(r)
     _subsets.check_k(k)
-    sd, values = _subsets.sum_distinct(terms, max_terms)
-    if not sd:
-        return None
+    sd, values = _subsets.sum_distinct(terms)
+    if not sd and not sweep:
+        return
     values = sorted(values)
-    return values, values[-1] - values[0]
+    spread = values[-1] - values[0]
+    for block in arith.prime_blocks(lo, hi):
+        yield len(block), _block_hits(values, spread, k, block.tolist()) if sd else []
 
 
-def chain_primes_in_range(r, k: int, lo: int, hi: int,
-                          *, max_terms: int = DEFAULT_MAX_TERMS) -> list[int]:
+def chain_primes_in_range(r, k: int, lo: int, hi: int) -> list[int]:
     """Primes p in [lo, hi] for which r is a permutation chain mod p.
 
     Range-partitioned building block: concatenating the results of a
     partition of [2, limit] reproduces find_chain_primes(r, k, limit).
     """
-    prelude = _scan_prelude(r, k, max_terms)
-    if prelude is None:
-        return []
-    values, spread = prelude
-    hits: list[int] = []
-    for block in arith.prime_blocks(lo, hi):
-        hits.extend(_block_hits(values, spread, k, block.tolist()))
-    return hits
+    return [p for _, hits in _scan(r, k, lo, hi) for p in hits]
 
 
-def find_chain_primes(r, k: int, limit: int, max_count: int | None = None,
-                      *, max_terms: int = DEFAULT_MAX_TERMS) -> list[int]:
+def find_chain_primes(r, k: int, limit: int, max_count: int | None = None) -> list[int]:
     """All primes p <= limit (or just the first max_count of them) realizing
     r as a permutation chain of kth power residues.
 
@@ -264,16 +259,9 @@ def find_chain_primes(r, k: int, limit: int, max_count: int | None = None,
     """
     if max_count is not None and max_count < 1:
         raise ValueError(f"max_count must be >= 1, got {max_count}")
-    prelude = _scan_prelude(r, k, max_terms)
-    if prelude is None:
-        return []
-    values, spread = prelude
-    hits: list[int] = []
-    for block in arith.prime_blocks(2, limit):
-        hits.extend(_block_hits(values, spread, k, block.tolist()))
-        if max_count is not None and len(hits) >= max_count:
-            return hits[:max_count]
-    return hits
+    # islice stops pulling blocks once it holds max_count primes
+    return list(islice((p for _, hits in _scan(r, k, 2, limit) for p in hits),
+                       max_count))
 
 
 def vegh_sequence(m: int, base: int) -> CandidateSequence:

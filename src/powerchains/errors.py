@@ -6,7 +6,7 @@ class OverflowLimitError(OverflowError):
 
 
 class SizeLimitError(ValueError):
-    """A sequence is longer than the configured subset-sum cap."""
+    """A sequence is longer than the fixed subset-sum cap of 24 terms."""
 
 
 class InvalidCandidateError(ValueError):

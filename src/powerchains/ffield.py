@@ -26,8 +26,7 @@ from functools import lru_cache
 from itertools import product
 
 from powerchains import _subsets, arith
-from powerchains._subsets import (DEFAULT_MAX_TERMS, ChainVerdict, SumDistinctResult,
-                                  SumSet)
+from powerchains._subsets import ChainVerdict, SumDistinctResult, SumSet
 
 __all__ = [
     "FFPoly",
@@ -443,16 +442,15 @@ def _ff_terms(r) -> tuple[FFPoly, ...]:
     return terms
 
 
-def ff_subset_sums(r, *, max_terms: int = DEFAULT_MAX_TERMS,
-                   with_witnesses: bool = False) -> SumSet:
+def ff_subset_sums(r, *, with_witnesses: bool = False) -> SumSet:
     """All nonempty subset sums of a polynomial candidate (exact, in F_p[t])."""
-    return _subsets.sum_set(_ff_terms(r), max_terms, with_witnesses)
+    return _subsets.sum_set(_ff_terms(r), with_witnesses)
 
 
-def ff_is_sum_distinct(r, *, max_terms: int = DEFAULT_MAX_TERMS) -> SumDistinctResult:
+def ff_is_sum_distinct(r) -> SumDistinctResult:
     """Candidate condition over F_p[t]: all 2^m - 1 subset sums distinct
     as polynomials (coefficient arithmetic mod p)."""
-    return _subsets.sum_distinct(_ff_terms(r), max_terms)[0]
+    return _subsets.sum_distinct(_ff_terms(r))[0]
 
 
 def ff_is_chain(r, k: int, f) -> bool:
@@ -467,23 +465,21 @@ def ff_is_cyclic_chain(r, k: int, f) -> bool:
     return _subsets.cyclic_failure(terms, _ring(k, f)) is None
 
 
-def ff_is_permutation_chain(r, k: int, f, *, max_terms: int = DEFAULT_MAX_TERMS,
-                            debug: bool = False) -> ChainVerdict:
+def ff_is_permutation_chain(r, k: int, f, *, debug: bool = False) -> ChainVerdict:
     """Chain / cyclic / permutation verdict mod an irreducible f: the
     permutation level is exact sum-distinctness in F_p[t] plus distinctness
     and residueness of the subset sums mod f."""
     terms = _ff_terms(r)
-    return _subsets.verdict(terms, _ring(k, f), max_terms, debug)
+    return _subsets.verdict(terms, _ring(k, f), debug)
 
 
-def naive_ff_permutation_chain(r, k: int, f, *, max_terms: int = 8) -> bool:
-    """Literal all-orderings verifier; reference implementation."""
+def naive_ff_permutation_chain(r, k: int, f) -> bool:
+    """Literal all-orderings verifier; reference implementation, m <= 8."""
     terms = _ff_terms(r)
-    return _subsets.naive_permutation_chain(terms, _ring(k, f), max_terms)
+    return _subsets.naive_permutation_chain(terms, _ring(k, f))
 
 
-def find_chain_irreducibles(r, k: int, p: int, max_degree: int,
-                            *, max_terms: int = DEFAULT_MAX_TERMS) -> list[IrreducibleModulus]:
+def find_chain_irreducibles(r, k: int, p: int, max_degree: int) -> list[IrreducibleModulus]:
     """All monic irreducibles of degree <= max_degree realizing r as a
     permutation chain of kth power residues, ordered by (degree, value).
 
@@ -497,7 +493,7 @@ def find_chain_irreducibles(r, k: int, p: int, max_degree: int,
     _subsets.check_k(k)
     if max_degree < 1:
         raise ValueError(f"max_degree must be >= 1, got {max_degree}")
-    values = sorted(_subsets.require_sum_distinct(terms, max_terms, f" over F_{p}[t]"),
+    values = sorted(_subsets.require_sum_distinct(terms, f" over F_{p}[t]"),
                     key=_sort_key)
     max_value_degree = max(v.degree for v in values)
     out: list[IrreducibleModulus] = []

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from powerchains import _subsets, arith, chains
-from powerchains._subsets import DEFAULT_MAX_TERMS
 
 __all__ = [
     "ExponentVector",
@@ -210,42 +209,37 @@ class DensityReport:
             raise ValueError("predicted density must lie in (0, 1]")
 
 
-def density_counts_in_range(r, k: int, lo: int, hi: int,
-                            *, max_terms: int = DEFAULT_MAX_TERMS) -> tuple[int, int]:
+def density_counts_in_range(r, k: int, lo: int, hi: int) -> tuple[int, int]:
     """(primes tested, permutation-chain hits) over primes in [lo, hi].
 
     Range-partitioned building block: summing the pairs over a partition of
     [2, limit] reproduces the counts of empirical_density.
     """
-    prelude = chains._scan_prelude(r, k, max_terms)
     total = hits = 0
-    for block in arith.prime_blocks(lo, hi):
-        total += len(block)
-        if prelude is not None:
-            hits += len(chains._block_hits(*prelude, k, block.tolist()))
+    for n, block_hits in chains._scan(r, k, lo, hi, sweep=True):
+        total += n
+        hits += len(block_hits)
     return total, hits
 
 
-def density_report_from_counts(r, k: int, limit: int, total: int, hits: int,
-                               *, max_terms: int = DEFAULT_MAX_TERMS) -> DensityReport:
+def density_report_from_counts(r, k: int, limit: int, total: int,
+                               hits: int) -> DensityReport:
     """Assemble a DensityReport from externally accumulated counts over the
     primes in [2, limit]."""
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
     terms = chains._terms(r)
-    sd, values = _subsets.sum_distinct(terms, max_terms)
+    sd, values = _subsets.sum_distinct(terms)
     predicted = predicted_density(values, k)
     if sd:
-        exceptional = tuple(p for p in chains.exceptional_primes(terms, max_terms=max_terms)
-                            if p <= limit)
+        exceptional = tuple(p for p in chains.exceptional_primes(terms) if p <= limit)
     else:
         exceptional = ()
     empirical = Fraction(hits, total) if total else Fraction(0)
     return DensityReport(limit, total, hits, empirical, predicted, exceptional)
 
 
-def empirical_density(r, k: int, limit: int,
-                      *, max_terms: int = DEFAULT_MAX_TERMS) -> DensityReport:
+def empirical_density(r, k: int, limit: int) -> DensityReport:
     """Sweep all primes p <= limit, counting those that realize r as a
     permutation chain of kth power residues.
 
@@ -255,5 +249,5 @@ def empirical_density(r, k: int, limit: int,
     and the predicted bound describes only the residue condition on the
     deduplicated subset-sum set, which no longer implies a chain.
     """
-    total, hits = density_counts_in_range(r, k, 2, limit, max_terms=max_terms)
-    return density_report_from_counts(r, k, limit, total, hits, max_terms=max_terms)
+    total, hits = density_counts_in_range(r, k, 2, limit)
+    return density_report_from_counts(r, k, limit, total, hits)

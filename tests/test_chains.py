@@ -19,6 +19,8 @@ from powerchains.chains import (
     vegh_sequence,
 )
 from powerchains.errors import InvalidCandidateError, OverflowLimitError, SizeLimitError
+from powerchains.kummer import (density_counts_in_range, density_report_from_counts,
+                                empirical_density)
 
 
 def window_sums_all_orderings(terms):
@@ -61,10 +63,24 @@ def test_subset_sums_matches_window_oracle():
 def test_subset_sums_cap():
     with pytest.raises(SizeLimitError, match="24"):
         subset_sums(list(range(1, 26)))
-    # the cap is configurable in both directions
-    with pytest.raises(SizeLimitError, match="4"):
-        subset_sums([1, 2, 4, 8, 16], max_terms=4)
-    assert len(subset_sums([2**i for i in range(18)], max_terms=18)) == 2**18 - 1
+    # the cap is fixed, and every public function that builds E enforces it
+    r = [2**i for i in range(25)]
+    # k = 1 and p > 2^25: every window sum is a distinct residue, so the
+    # verdict reaches the permutation level, which builds E
+    p = 2**31 - 1
+    for call in (lambda: subset_sums(r),
+                 lambda: is_sum_distinct(r),
+                 lambda: is_permutation_chain(r, 1, p),
+                 lambda: exceptional_primes(r),
+                 lambda: chain_primes_in_range(r, 2, 2, 100),
+                 lambda: find_chain_primes(r, 2, 100),
+                 lambda: find_chain_primes(r, 2, 100, max_count=1),
+                 lambda: density_counts_in_range(r, 2, 2, 100),
+                 lambda: density_report_from_counts(r, 2, 100, 25, 0),
+                 lambda: empirical_density(r, 2, 100)):
+        with pytest.raises(SizeLimitError, match="cap of 24 terms"):
+            call()
+    assert len(subset_sums(r[:18])) == 2**18 - 1
 
 
 def test_subset_sums_witnesses():
@@ -301,6 +317,42 @@ def test_range_partition_reassembles_full_search():
              + chain_primes_in_range([1, 2, 4], 2, 3000, 6999)
              + chain_primes_in_range([1, 2, 4], 2, 7000, 10**4))
     assert parts == full
+
+
+def test_one_scan_matches_the_per_modulus_verifier(monkeypatch):
+    # signed candidates with spreads up to 320, so primes on both sides of
+    # the spread (where distinctness mod p stops being automatic) are tested
+    rng = random.Random(5)
+    limit = 3000
+    primes = arith.primes_up_to(limit)
+    assert len(primes) == 430
+    candidates = []
+    while len(candidates) < 20:
+        r = [rng.randint(-40, 40) for _ in range(rng.randint(1, 4))]
+        if is_sum_distinct(r):
+            candidates.append(r)
+    assert any(min(r) < 0 for r in candidates)
+    for r in candidates:
+        for k in (1, 2, 3, 4, 6, 12):
+            expected = [p for p in primes if is_permutation_chain(r, k, p).is_permutation]
+            assert find_chain_primes(r, k, limit) == expected, (r, k)
+            assert density_counts_in_range(r, k, 2, limit) == (430, len(expected))
+            a, b = sorted(rng.sample(range(3, limit), 2))
+            assert (chain_primes_in_range(r, k, 2, a - 1)
+                    + chain_primes_in_range(r, k, a, b - 1)
+                    + chain_primes_in_range(r, k, b, limit)) == expected, (r, k, a, b)
+            assert find_chain_primes(r, k, limit, max_count=3) == expected[:3]
+    for k in (1, 2, 3, 4, 6, 12):
+        assert density_counts_in_range([1, 2, 3], k, 2, limit) == (430, 0)
+
+    # the two lists answer [] for [1, 2, 3] without sieving
+    def no_sieve(lo, hi):
+        raise AssertionError("sieved for a candidate that is not sum-distinct")
+    monkeypatch.setattr(arith, "prime_blocks", no_sieve)
+    for k in (1, 2, 3, 4, 6, 12):
+        assert find_chain_primes([1, 2, 3], k, limit) == []
+        assert find_chain_primes([1, 2, 3], k, limit, max_count=3) == []
+        assert chain_primes_in_range([1, 2, 3], k, 2, limit) == []
 
 
 def test_find_chain_primes_rejects_bad_k():

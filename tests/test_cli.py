@@ -250,6 +250,26 @@ def test_ff_search_none_found_exits_1(capsys):
     assert payload["result"]["moduli"] == []
 
 
+# ---------- limits ----------
+
+def test_term_cap_exits_2_naming_the_cap(capsys):
+    for argv in (("search", "--vegh", "25,2", "--k", "2", "--limit", "100",
+                  "--workers", "1"),
+                 ("search", "--vegh", "25,2", "--k", "2", "--limit", "100",
+                  "--max-count", "1", "--workers", "1"),
+                 ("density", "--vegh", "25,2", "--k", "2", "--limit", "100",
+                  "--workers", "1"),
+                 ("exceptional", "--vegh", "25,2"),
+                 ("candidate-check", "--vegh", "25,2"),
+                 ("ff-search", "--char", "2", "--k", "1", "--tpowers", "25",
+                  "--max-degree", "1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "subset-sum cap of 24 terms" in err, argv
+        assert "max_terms" not in err
+
+
 # ---------- determinism and report envelope ----------
 
 def test_json_determinism_across_runs_and_workers(capsys):

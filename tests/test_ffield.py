@@ -261,6 +261,19 @@ def test_ff_subset_sums():
         ff_subset_sums(tpowers(2, 30))
 
 
+def test_ff_term_cap_is_fixed_at_24_wherever_e_is_built():
+    r = tpowers(2, 25)
+    # k = 1 and a degree-25 modulus: the window sums, of degree < 25, are
+    # distinct residues, so the verdict reaches the permutation level
+    f = IrreducibleModulus(P(2, 1, 0, 0, 1, *[0] * 21, 1))  # t^25 + t^3 + 1
+    for call in (lambda: ff_subset_sums(r),
+                 lambda: ff_is_sum_distinct(r),
+                 lambda: ff_is_permutation_chain(r, 1, f),
+                 lambda: find_chain_irreducibles(r, 1, 2, 1)):
+        with pytest.raises(SizeLimitError, match="cap of 24 terms"):
+            call()
+
+
 def test_ff_permutation_chain_char_power_k():
     # k a power of p makes the residue test vacuous: the verdict reduces to
     # distinctness of the 7 subset sums mod f
