@@ -324,6 +324,7 @@ def verdict(terms, ring: Ring, debug: bool) -> ChainVerdict:
     """Full verdict; failure_witness describes the first violated sum of the
     weakest failing level.  debug=True cross-checks the permutation level
     against the all-orderings verifier (m <= 6 only)."""
+    check_term_cap(len(terms))
     chain_fail = window_failure(terms, ring, "chain")
     cyclic_fail = chain_fail if chain_fail is not None else cyclic_failure(terms, ring)
     perm_fail = (cyclic_fail if cyclic_fail is not None

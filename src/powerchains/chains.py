@@ -19,6 +19,13 @@ sequence is a permutation chain iff
 
 That identity is load-bearing and is enforced by exhaustive test against the
 all-permutations definition, never assumed silently.
+
+The prime scan behind find_chain_primes, chain_primes_in_range and
+density_counts_in_range builds E once and tests each prime p in the cheap
+order: p < |E| is skipped (by pigeonhole E cannot be distinct mod p), then
+condition 3 is tested element by element up to the first non-residue, and
+condition 2 only for the primes that pass it and lie at or below
+max(E) - min(E) (above that it holds automatically).
 """
 
 from __future__ import annotations
@@ -182,41 +189,29 @@ def exceptional_primes(r) -> ExceptionalPrimeSet:
 def _block_hits(values, spread, k, block) -> list[int]:
     """Primes p in `block` for which E is distinct mod p and all residues.
 
-    `values` is the sorted subset-sum set; `spread` = max - min, so for
-    p > spread distinctness is automatic.  Assumes the candidate is
-    sum-distinct over Z.
+    `values` is the sorted subset-sum set E of a sum-distinct candidate and
+    `spread` = max - min.  The order is the cheap one: p < |E| is skipped by
+    pigeonhole, residues are tested up to the first non-residue, and only
+    the primes that pass with p <= spread have their distinctness checked.
     """
     hits = []
     n = len(values)
     for p in block:
-        g = gcd(k, p - 1)
-        if p <= spread:
-            seen = {c % p for c in values}
-            if len(seen) != n:
-                continue
-            residues = seen
-        elif g == 1:
-            hits.append(p)
+        if p < n:
             continue
-        else:
-            residues = None
+        g = gcd(k, p - 1)
         if g > 1:
             e = (p - 1) // g
             ok = True
-            if residues is None:
-                for c in values:
-                    a = c % p
-                    if a > 1 and pow(a, e, p) != 1:
-                        ok = False
-                        break
-            else:
-                for a in residues:
-                    if a > 1 and pow(a, e, p) != 1:
-                        ok = False
-                        break
+            for c in values:
+                a = c % p
+                if a > 1 and pow(a, e, p) != 1:
+                    ok = False
+                    break
             if not ok:
                 continue
-        hits.append(p)
+        if p > spread or len({c % p for c in values}) == n:
+            hits.append(p)
     return hits
 
 
@@ -253,9 +248,11 @@ def find_chain_primes(r, k: int, limit: int, max_count: int | None = None) -> li
     r as a permutation chain of kth power residues.
 
     Exact by construction: every prime up to the limit is tested, including
-    the exceptional ones (they always fail the mod-p distinctness).  A
-    candidate that is not sum-distinct admits no permutation-chain prime at
-    all, so the result is then [] without any scan.
+    the exceptional ones, which are always misses (a residue test may reject
+    one before its mod-p collision is looked for; see the module docstring
+    for the order of the tests).  A candidate that is not sum-distinct admits
+    no permutation-chain prime at all, so the result is then [] without any
+    scan.
     """
     if max_count is not None and max_count < 1:
         raise ValueError(f"max_count must be >= 1, got {max_count}")

@@ -66,11 +66,13 @@ def test_subset_sums_cap():
     # the cap is fixed, and every public function that builds E enforces it
     r = [2**i for i in range(25)]
     # k = 1 and p > 2^25: every window sum is a distinct residue, so the
-    # verdict reaches the permutation level, which builds E
+    # verdict reaches the permutation level, which builds E; mod 7 the first
+    # window already fails, and the cap is still checked on entry
     p = 2**31 - 1
     for call in (lambda: subset_sums(r),
                  lambda: is_sum_distinct(r),
                  lambda: is_permutation_chain(r, 1, p),
+                 lambda: is_permutation_chain(vegh_sequence(25, 2), 2, 7),
                  lambda: exceptional_primes(r),
                  lambda: chain_primes_in_range(r, 2, 2, 100),
                  lambda: find_chain_primes(r, 2, 100),
@@ -332,6 +334,18 @@ def test_one_scan_matches_the_per_modulus_verifier(monkeypatch):
         if is_sum_distinct(r):
             candidates.append(r)
     assert any(min(r) < 0 for r in candidates)
+    # and candidates of 5-6 terms near 2^20, as in density runs: every prime
+    # up to the limit lies below the spread, and the primes below |E| (2..61
+    # at m = 6) cannot be hits by pigeonhole
+    for m in (6, 6, 5):
+        while True:
+            r = [rng.choice((1, -1)) * rng.randint(2**20 - 2**16, 2**20 + 2**16)
+                 for _ in range(m)]
+            if is_sum_distinct(r):
+                break
+        values = subset_sums(r).values
+        assert max(values) - min(values) > limit
+        candidates.append(r)
     for r in candidates:
         for k in (1, 2, 3, 4, 6, 12):
             expected = [p for p in primes if is_permutation_chain(r, k, p).is_permutation]

@@ -261,6 +261,9 @@ def test_term_cap_exits_2_naming_the_cap(capsys):
                   "--workers", "1"),
                  ("exceptional", "--vegh", "25,2"),
                  ("candidate-check", "--vegh", "25,2"),
+                 ("verify", "--k", "2", "--modulus", "7", "--vegh", "25,2"),
+                 ("ff-verify", "--char", "3", "--k", "2", "--modulus",
+                  "GF(3)[1,0,1]", "--tpowers", "25"),
                  ("ff-search", "--char", "2", "--k", "1", "--tpowers", "25",
                   "--max-degree", "1")):
         code, out, err = run(capsys, *argv)

@@ -266,9 +266,13 @@ def test_ff_term_cap_is_fixed_at_24_wherever_e_is_built():
     # k = 1 and a degree-25 modulus: the window sums, of degree < 25, are
     # distinct residues, so the verdict reaches the permutation level
     f = IrreducibleModulus(P(2, 1, 0, 0, 1, *[0] * 21, 1))  # t^25 + t^3 + 1
+    # mod t^2 + 1 over F_3 the first windows already fail, and the cap is
+    # still checked on entry
     for call in (lambda: ff_subset_sums(r),
                  lambda: ff_is_sum_distinct(r),
                  lambda: ff_is_permutation_chain(r, 1, f),
+                 lambda: ff_is_permutation_chain(tpowers(3, 25), 2,
+                                                 IrreducibleModulus(P(3, 1, 0, 1))),
                  lambda: find_chain_irreducibles(r, 1, 2, 1)):
         with pytest.raises(SizeLimitError, match="cap of 24 terms"):
             call()
