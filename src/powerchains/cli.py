@@ -10,26 +10,33 @@ exceptional      primes at which subset sums can collide
 ff-verify        verdict for a polynomial candidate mod one irreducible
 ff-search        irreducible moduli up to a degree bound realizing a chain
 
+A command's options are declared in `_build_parser`, where the options that
+several commands share sit in parent parsers; its runner and its CSV rows
+are declared in `COMMANDS`.  `RunConfig` holds the validated inputs, and its
+fields, in declaration order, are the config that every output echoes.
+
 Exit codes: 0 affirmative result (chain verified, primes found, hits > 0),
 1 negative mathematical result (not a chain, nothing found, candidate not
 sum-distinct), 2 malformed input or usage error.
 
 Output is table (default), json, or csv (csv only for prime/modulus lists
-and density rows).  JSON is byte-identical across runs and worker counts for
-a fixed config and version; wall-clock timing therefore goes to stderr only.
-The POWERCHAINS_WORKERS environment variable sets the default worker count
-for search and density (otherwise all cores).
+and density rows, fields quoted per RFC 4180).  JSON is byte-identical across
+runs and worker counts for a fixed config and version; wall-clock timing
+therefore goes to stderr only.  The POWERCHAINS_WORKERS environment variable
+sets the default worker count for search and density (otherwise all cores).
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from powerchains import __version__, arith, chains, ffield, kummer
@@ -40,65 +47,39 @@ WORKERS_ENV_VAR = "POWERCHAINS_WORKERS"
 _SERIAL_LIMIT = 10**4  # search and density below this limit run in one process
 
 TABLE, JSON, CSV = "table", "json", "csv"
-CSV_COMMANDS = {"search", "ff-search", "density", "exceptional"}
 
 
 @dataclass
 class RunConfig:
+    """The validated inputs of one run; the fields that are set are echoed,
+    in this order in the table."""
+
     command: str
     ring: str
-    fmt: str
-    workers: int
-    k: int | None = None
-    sequence: list = field(default_factory=list)
-    modulus: object = None
+    format: str
     characteristic: int | None = None
+    k: int | None = None
+    modulus: arith.PrimeModulus | ffield.IrreducibleModulus | None = None
     limit: int | None = None
     max_degree: int | None = None
     max_count: int | None = None
+    workers: int | None = None  # set only for the commands that scan a range
+    sequence: chains.CandidateSequence | list | None = None
+
+    def settings(self) -> dict:
+        return {f.name: _jsonable(getattr(self, f.name)) for f in fields(self)
+                if getattr(self, f.name) is not None}
 
     def echo(self) -> dict:
-        out = {
-            "command": self.command,
-            "ring": self.ring,
-            "format": self.fmt,
-            "workers": self.workers,
-            "sequence": [_jsonable(t) for t in self.sequence],
-        }
-        if self.k is not None:
-            out["k"] = self.k
-        if self.modulus is not None:
-            out["modulus"] = _jsonable(self.modulus)
-        if self.characteristic is not None:
-            out["characteristic"] = self.characteristic
-        if self.limit is not None:
-            out["limit"] = self.limit
-        if self.max_degree is not None:
-            out["max_degree"] = self.max_degree
-        if self.max_count is not None:
-            out["max_count"] = self.max_count
-        return out
-
-
-@dataclass
-class RunReport:
-    config: RunConfig
-    result: dict
-    duration_seconds: float
-    version: str = __version__
-
-    def payload(self) -> dict:
-        # duration is deliberately not serialized: identical config versions
-        # must produce byte-identical JSON
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "version": self.version,
-            "config": self.config.echo(),
-            "result": self.result,
-        }
+        # a command that scans no range runs in one process
+        return {"workers": 1, **self.settings()}
 
 
 def _jsonable(v):
+    if isinstance(v, (list, chains.CandidateSequence)):
+        return [_jsonable(t) for t in v]
+    if isinstance(v, arith.PrimeModulus):
+        return v.p
     if isinstance(v, ffield.FFPoly):
         return ffield.poly_to_text(v)
     if isinstance(v, ffield.IrreducibleModulus):
@@ -200,45 +181,45 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--tpowers", type=int, metavar="M",
                    help="candidate 1,t,...,t^(m-1)")
 
+    k = argparse.ArgumentParser(add_help=False)
+    k.add_argument("--k", type=int, required=True)
+
+    char = argparse.ArgumentParser(add_help=False)
+    char.add_argument("--char", type=int, required=True, metavar="P",
+                      help="field characteristic")
+
+    limit = argparse.ArgumentParser(add_help=False)
+    limit.add_argument("--limit", type=int, required=True)
+
     workers = argparse.ArgumentParser(add_help=False)
     workers.add_argument("--workers", type=int, default=None,
                          help=f"parallel workers (default: ${WORKERS_ENV_VAR} "
                               f"or all cores)")
 
-    p = sub.add_parser("verify", parents=[fmt, intseq],
+    p = sub.add_parser("verify", parents=[fmt, intseq, k],
                        help="chain verdict for one prime modulus")
-    p.add_argument("--k", type=int, required=True)
     p.add_argument("--modulus", type=int, required=True)
 
     sub.add_parser("candidate-check", parents=[fmt, intseq],
                    help="check the sum-distinctness condition")
 
-    p = sub.add_parser("search", parents=[fmt, intseq, workers],
+    p = sub.add_parser("search", parents=[fmt, intseq, workers, k, limit],
                        help="find permutation-chain primes up to a limit")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--limit", type=int, required=True)
     p.add_argument("--max-count", type=int, default=None,
                    help="stop after this many primes (serial scan)")
 
-    p = sub.add_parser("density", parents=[fmt, intseq, workers],
-                       help="empirical vs predicted chain-prime density")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--limit", type=int, required=True)
+    sub.add_parser("density", parents=[fmt, intseq, workers, k, limit],
+                   help="empirical vs predicted chain-prime density")
 
     sub.add_parser("exceptional", parents=[fmt, intseq],
                    help="primes dividing a difference of two subset sums")
 
-    p = sub.add_parser("ff-verify", parents=[fmt, ffseq],
+    p = sub.add_parser("ff-verify", parents=[fmt, ffseq, char, k],
                        help="chain verdict mod one irreducible polynomial")
-    p.add_argument("--char", type=int, required=True, metavar="P",
-                   help="field characteristic")
-    p.add_argument("--k", type=int, required=True)
     p.add_argument("--modulus", required=True, metavar="GF(P)[...]")
 
-    p = sub.add_parser("ff-search", parents=[fmt, ffseq],
+    p = sub.add_parser("ff-search", parents=[fmt, ffseq, char, k],
                        help="find chain-realizing irreducible moduli")
-    p.add_argument("--char", type=int, required=True, metavar="P")
-    p.add_argument("--k", type=int, required=True)
     p.add_argument("--max-degree", type=int, required=True)
 
     return parser
@@ -259,44 +240,38 @@ def _default_workers() -> int:
 
 def _build_config(ns: argparse.Namespace) -> RunConfig:
     fmt = JSON if ns.json else ns.format
-    if fmt == CSV and ns.command not in CSV_COMMANDS:
+    if fmt == CSV and COMMANDS[ns.command][1] is None:
         raise ValueError(f"csv output is not available for {ns.command}; "
                          f"verdicts are table/json only")
-    ring = "polynomial" if ns.command.startswith("ff-") else "integers"
-    workers = 1
-    if ns.command in ("search", "density"):
-        workers = ns.workers if ns.workers is not None else _default_workers()
-        if workers < 1:
-            raise ValueError(f"--workers must be >= 1, got {workers}")
+    polynomial = hasattr(ns, "char")
+    cfg = RunConfig(ns.command, "polynomial" if polynomial else "integers", fmt)
+    if hasattr(ns, "workers"):
+        cfg.workers = ns.workers if ns.workers is not None else _default_workers()
+        if cfg.workers < 1:
+            raise ValueError(f"--workers must be >= 1, got {cfg.workers}")
 
-    cfg = RunConfig(command=ns.command, ring=ring, fmt=fmt, workers=workers)
-
-    if getattr(ns, "k", None) is not None:
+    if hasattr(ns, "k"):
         if ns.k < 1:
             raise ValueError(f"k must be >= 1, got {ns.k}")
         cfg.k = ns.k
 
-    if ring == "integers":
-        if getattr(ns, "vegh", None):
-            cfg.sequence = _parse_vegh(ns.vegh)
-        else:
-            cfg.sequence = parse_int_sequence(ns.seq)
-        chains.CandidateSequence(tuple(cfg.sequence))  # width validation
-        if ns.command == "verify":
-            cfg.modulus = arith.PrimeModulus(ns.modulus).p
+    if not polynomial:
+        cfg.sequence = chains.CandidateSequence(tuple(
+            parse_int_sequence(ns.seq) if ns.vegh is None else _parse_vegh(ns.vegh)))
+        if hasattr(ns, "modulus"):
+            cfg.modulus = arith.PrimeModulus(ns.modulus)
     else:
-        cfg.characteristic = ns.char
-        ffield._check_characteristic(ns.char)
-        if getattr(ns, "tpowers", None) is not None:
+        cfg.characteristic = ffield._check_characteristic(ns.char)
+        if ns.tpowers is not None:
             cfg.sequence = _tpowers(ns.tpowers, ns.char)
         else:
             cfg.sequence = parse_poly_sequence(ns.seq, ns.char)
-        if ns.command == "ff-verify":
+        if hasattr(ns, "modulus"):
             f = ffield.poly_from_text(ns.modulus)
             if f.p != ns.char:
                 raise ValueError(f"modulus characteristic {f.p} does not match "
                                  f"--char {ns.char}")
-            cfg.modulus = ffield.IrreducibleModulus(f).f
+            cfg.modulus = ffield.IrreducibleModulus(f)
 
     for name in ("limit", "max_degree", "max_count"):
         v = getattr(ns, name, None)
@@ -310,7 +285,7 @@ def _build_config(ns: argparse.Namespace) -> RunConfig:
 # -- command execution ------------------------------------------------------
 
 
-def _verdict_result(v: chains.ChainVerdict) -> dict:
+def _verdict(v: chains.ChainVerdict) -> tuple[dict, int]:
     failure = None
     if v.failure_witness is not None:
         failure = {
@@ -318,12 +293,13 @@ def _verdict_result(v: chains.ChainVerdict) -> dict:
             "kind": v.failure_witness.kind,
             "description": v.failure_witness.description,
         }
-    return {
+    result = {
         "is_chain": v.is_chain,
         "is_cyclic": v.is_cyclic,
         "is_permutation": v.is_permutation,
         "failure": failure,
     }
+    return result, 0 if v.is_chain else 1
 
 
 def _partition(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
@@ -351,7 +327,26 @@ def _over_range(scan, cfg: RunConfig) -> list:
                              los, his))
 
 
-def _run_search(cfg: RunConfig) -> tuple[dict, int]:
+def _verify(cfg: RunConfig) -> tuple[dict, int]:
+    return _verdict(chains.is_permutation_chain(cfg.sequence, cfg.k, cfg.modulus))
+
+
+def _candidate_check(cfg: RunConfig) -> tuple[dict, int]:
+    res = chains.is_sum_distinct(cfg.sequence)
+    collision = None
+    if not res:
+        a, b = res.collision
+        collision = {"subset_a": list(a), "subset_b": list(b),
+                     "sum": res.colliding_sum}
+    result = {
+        "sum_distinct": bool(res),
+        "collision": collision,
+        "subset_sum_count": len(chains.subset_sums(cfg.sequence)),
+    }
+    return result, 0 if res else 1
+
+
+def _search(cfg: RunConfig) -> tuple[dict, int]:
     terms = cfg.sequence
     sd = bool(chains.is_sum_distinct(terms))
     if sd and cfg.max_count is None:
@@ -370,7 +365,7 @@ def _run_search(cfg: RunConfig) -> tuple[dict, int]:
     return result, 0 if primes else 1
 
 
-def _run_density(cfg: RunConfig) -> tuple[dict, int]:
+def _density(cfg: RunConfig) -> tuple[dict, int]:
     terms = cfg.sequence
     counts = _over_range(kummer.density_counts_in_range, cfg)
     report = kummer.density_report_from_counts(
@@ -388,72 +383,61 @@ def _run_density(cfg: RunConfig) -> tuple[dict, int]:
     return result, 0 if report.hits else 1
 
 
-def _execute(cfg: RunConfig) -> tuple[dict, int]:
-    terms = cfg.sequence
-    if cfg.command == "verify":
-        v = chains.is_permutation_chain(terms, cfg.k, arith.PrimeModulus(cfg.modulus))
-        return _verdict_result(v), 0 if v.is_chain else 1
+def _exceptional(cfg: RunConfig) -> tuple[dict, int]:
+    primes = list(chains.exceptional_primes(cfg.sequence))
+    return {"primes": primes, "count": len(primes)}, 0
 
-    if cfg.command == "candidate-check":
-        res = chains.is_sum_distinct(terms)
-        collision = None
-        if not res:
-            a, b = res.collision
-            collision = {"subset_a": list(a), "subset_b": list(b),
-                         "sum": res.colliding_sum}
-        result = {
-            "sum_distinct": bool(res),
-            "collision": collision,
-            "subset_sum_count": len(chains.subset_sums(terms)),
-        }
-        return result, 0 if res else 1
 
-    if cfg.command == "search":
-        return _run_search(cfg)
+def _ff_verify(cfg: RunConfig) -> tuple[dict, int]:
+    return _verdict(ffield.ff_is_permutation_chain(cfg.sequence, cfg.k, cfg.modulus))
 
-    if cfg.command == "density":
-        return _run_density(cfg)
 
-    if cfg.command == "exceptional":
-        try:
-            primes = list(chains.exceptional_primes(terms))
-        except InvalidCandidateError as e:
-            return {"error": "invalid-candidate", "message": str(e)}, 1
-        return {"primes": primes, "count": len(primes)}, 0
+def _ff_search(cfg: RunConfig) -> tuple[dict, int]:
+    moduli = ffield.find_chain_irreducibles(
+        cfg.sequence, cfg.k, cfg.characteristic, cfg.max_degree)
+    result = {
+        "moduli": [_jsonable(m) for m in moduli],
+        "count": len(moduli),
+    }
+    return result, 0 if moduli else 1
 
-    if cfg.command == "ff-verify":
-        f = ffield.IrreducibleModulus._trusted(cfg.modulus)
-        v = ffield.ff_is_permutation_chain(terms, cfg.k, f)
-        return _verdict_result(v), 0 if v.is_chain else 1
 
-    if cfg.command == "ff-search":
-        try:
-            moduli = ffield.find_chain_irreducibles(
-                terms, cfg.k, cfg.characteristic, cfg.max_degree)
-        except InvalidCandidateError as e:
-            return {"error": "invalid-candidate", "message": str(e)}, 1
-        result = {
-            "moduli": [_jsonable(m) for m in moduli],
-            "count": len(moduli),
-        }
-        return result, 0 if moduli else 1
+def _prime_rows(result: dict) -> list:
+    return [("prime",)] + [(p,) for p in result["primes"]]
 
-    raise AssertionError(f"unhandled command {cfg.command}")
+
+def _density_rows(result: dict) -> list:
+    # every field but sum_distinct, the excluded primes joined by ";"
+    row = {c: ";".join(map(str, v)) if isinstance(v, list) else v
+           for c, v in result.items() if c != "sum_distinct"}
+    return [list(row), list(row.values())]
+
+
+def _moduli_rows(result: dict) -> list:
+    return [("degree", "modulus")] + [
+        (ffield.poly_from_text(text).degree, text) for text in result["moduli"]]
+
+
+# command: (runner returning (result, exit code), CSV rows of a result or
+# None where CSV is refused)
+COMMANDS = {
+    "verify": (_verify, None),
+    "candidate-check": (_candidate_check, None),
+    "search": (_search, _prime_rows),
+    "density": (_density, _density_rows),
+    "exceptional": (_exceptional, _prime_rows),
+    "ff-verify": (_ff_verify, None),
+    "ff-search": (_ff_search, _moduli_rows),
+}
 
 
 # -- rendering --------------------------------------------------------------
 
 
-def _render_table(report: RunReport) -> str:
-    cfg, result = report.config, report.result
-    lines = [f"command: {cfg.command}"]
-    echo = cfg.echo()
-    for key in ("ring", "characteristic", "k", "modulus", "limit",
-                "max_degree", "max_count", "workers"):
-        if key in echo and (key != "workers" or cfg.command in ("search", "density")):
-            lines.append(f"{key}: {echo[key]}")
-    lines.append("sequence: " + ",".join(str(t) for t in echo["sequence"]))
-    for key, value in result.items():
+def _render_table(cfg: RunConfig, result: dict) -> str:
+    settings = {key: v for key, v in cfg.settings().items() if key != "format"}
+    lines = []
+    for key, value in [*settings.items(), *result.items()]:
         if isinstance(value, list):
             shown = ",".join(str(v) for v in value[:25])
             if len(value) > 25:
@@ -468,60 +452,45 @@ def _render_table(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_csv(report: RunReport) -> str:
-    cmd, result = report.config.command, report.result
+def _render_csv(cfg: RunConfig, result: dict) -> str:
     if "error" in result:
-        return "error,message\n" + \
-            f"{result['error']},\"{result['message']}\"\n"
-    if cmd in ("search", "exceptional"):
-        return "prime\n" + "".join(f"{p}\n" for p in result["primes"])
-    if cmd == "ff-search":
-        rows = []
-        for text in result["moduli"]:
-            f = ffield.poly_from_text(text)
-            rows.append(f"{f.degree},{text}\n")
-        return "degree,modulus\n" + "".join(rows)
-    if cmd == "density":
-        cols = ("limit", "total_primes", "hits", "empirical",
-                "predicted_lower_bound", "exceptional_excluded")
-        vals = []
-        for c in cols:
-            v = result[c]
-            vals.append(";".join(str(x) for x in v) if isinstance(v, list) else str(v))
-        return ",".join(cols) + "\n" + ",".join(vals) + "\n"
-    raise AssertionError(f"csv not supported for {cmd}")
+        rows = [("error", "message"), (result["error"], result["message"])]
+    else:
+        rows = COMMANDS[cfg.command][1](result)
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
-def render(report: RunReport) -> str:
-    if report.config.fmt == JSON:
-        return json.dumps(report.payload(), indent=2, sort_keys=True) + "\n"
-    if report.config.fmt == CSV:
-        return _render_csv(report)
-    return _render_table(report)
+def render(cfg: RunConfig, result: dict) -> str:
+    if cfg.format == JSON:
+        # no timing here: identical configs must give byte-identical JSON
+        payload = {"schema_version": SCHEMA_VERSION, "version": __version__,
+                   "config": cfg.echo(), "result": result}
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if cfg.format == CSV:
+        return _render_csv(cfg, result)
+    return _render_table(cfg, result)
 
 
 # -- entry points -----------------------------------------------------------
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
     try:
         cfg = _build_config(ns)
-    except (ValueError, OverflowError) as e:
-        print(f"powerchains: error: {e}", file=sys.stderr)
-        return 2
-
-    start = time.monotonic()
-    try:
-        result, code = _execute(cfg)
+        start = time.monotonic()
+        try:
+            result, code = COMMANDS[cfg.command][0](cfg)
+        except InvalidCandidateError as e:  # the command needs a sum-distinct candidate
+            result, code = {"error": "invalid-candidate", "message": str(e)}, 1
     except (ValueError, OverflowError) as e:
         print(f"powerchains: error: {e}", file=sys.stderr)
         return 2
     duration = time.monotonic() - start
 
-    report = RunReport(cfg, result, duration)
-    sys.stdout.write(render(report))
+    sys.stdout.write(render(cfg, result))
     print(f"powerchains {cfg.command}: completed in {duration:.3f}s",
           file=sys.stderr)
     return code

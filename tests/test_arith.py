@@ -85,6 +85,20 @@ def test_is_prime_64bit_edges():
     assert not is_prime(2**64 + 1)
 
 
+# strong pseudoprimes to every prime base up to 7, 11, 13, 19, 31 and 37 in
+# turn: only base 41 exposes the last one
+@pytest.mark.parametrize("n", [3215031751, 2152302898747, 3474749660383,
+                               341550071728321, 3825123056546413051,
+                               318665857834031151167461])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_largest_prime_below_certified_bound():
+    assert 3317044064679887385961813 < MR_CERTIFIED_BOUND
+    assert is_prime(3317044064679887385961813)
+
+
 def test_is_prime_beyond_certified_bound_raises():
     with pytest.raises(OverflowLimitError):
         is_prime(MR_CERTIFIED_BOUND)

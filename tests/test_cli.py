@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -141,6 +143,7 @@ def test_search_vegh_shorthand(capsys):
 def test_search_and_density_malformed_inputs(capsys):
     assert run(capsys, "search", "--k", "2", "--seq", "1,2", "--limit", "0")[0] == 2
     assert run(capsys, "search", "--k", "2", "--vegh", "3;2", "--limit", "10")[0] == 2
+    assert run(capsys, "search", "--k", "2", "--vegh", "", "--limit", "10")[0] == 2
     assert run(capsys, "density", "--k", "2", "--seq", "1,q", "--limit", "100")[0] == 2
     assert run(capsys, "exceptional", "--seq", "a,b")[0] == 2
     assert run(capsys, "ff-search", "--char", "3", "--k", "2", "--tpowers", "3",
@@ -231,7 +234,7 @@ def test_ff_search_positive_and_csv(capsys):
     assert payload["result"]["moduli"] == ["GF(5)[1,1,1]"]
     code, out, _ = run(capsys, "ff-search", "--char", "5", "--k", "2",
                        "--tpowers", "3", "--max-degree", "2", "--format", "csv")
-    assert out == "degree,modulus\n2,GF(5)[1,1,1]\n"
+    assert out == 'degree,modulus\n2,"GF(5)[1,1,1]"\n'
 
 
 def test_ff_search_invalid_candidate(capsys):
@@ -374,6 +377,125 @@ def test_timing_goes_to_stderr_not_stdout(capsys):
     assert "duration" not in out
     payload = json.loads(out)
     assert "duration" not in json.dumps(payload)
+
+
+GOLDEN = [
+    (("verify", "--k", "2", "--modulus", "7", "--seq", "1,2,4"), 1, """\
+command: verify
+ring: integers
+k: 2
+modulus: 7
+sequence: 1,2,4
+is_chain: False
+is_cyclic: False
+is_permutation: False
+failure:
+  level: chain
+  kind: non_residue
+  description: window sum 3 is not a 2nd power residue mod 7
+"""),
+    (("candidate-check", "--seq", "1,2,3"), 1, """\
+command: candidate-check
+ring: integers
+sequence: 1,2,3
+sum_distinct: False
+collision:
+  subset_a: [1, 2]
+  subset_b: [3]
+  sum: 3
+subset_sum_count: 6
+"""),
+    (("search", "--k", "2", "--seq", "1", "--limit", "200", "--max-count", "30",
+      "--workers", "1"), 0, """\
+command: search
+ring: integers
+k: 2
+limit: 200
+max_count: 30
+workers: 1
+sequence: 1
+sum_distinct: True
+primes: 2,3,5,7,11,13,17,19,23,29,31,37,41,43,47,53,59,61,67,71,73,79,83,89,97,... (30 total)
+count: 30
+exceptional_primes: (none)
+"""),
+    (("density", "--k", "2", "--vegh", "3,2", "--limit", "5000", "--workers", "1"),
+     0, """\
+command: density
+ring: integers
+k: 2
+limit: 5000
+workers: 1
+sequence: 1,2,4
+sum_distinct: True
+limit: 5000
+total_primes: 669
+hits: 33
+empirical: 11/223
+predicted_lower_bound: 1/16
+exceptional_excluded: 2,3,5
+"""),
+    (("exceptional", "--seq", "1,2,4"), 0, """\
+command: exceptional
+ring: integers
+sequence: 1,2,4
+primes: 2,3,5
+count: 3
+"""),
+    (("ff-verify", "--char", "3", "--k", "9", "--modulus", "GF(3)[1,2,0,1]",
+      "--tpowers", "3"), 0, """\
+command: ff-verify
+ring: polynomial
+characteristic: 3
+k: 9
+modulus: GF(3)[1,2,0,1]
+sequence: GF(3)[1],GF(3)[0,1],GF(3)[0,0,1]
+is_chain: True
+is_cyclic: True
+is_permutation: True
+failure: None
+"""),
+    (("ff-search", "--char", "2", "--k", "1", "--tpowers", "3", "--max-degree", "4"),
+     0, """\
+command: ff-search
+ring: polynomial
+characteristic: 2
+k: 1
+max_degree: 4
+sequence: GF(2)[1],GF(2)[0,1],GF(2)[0,0,1]
+moduli: GF(2)[1,1,0,1],GF(2)[1,0,1,1],GF(2)[1,1,0,0,1],GF(2)[1,0,0,1,1],GF(2)[1,1,1,1,1]
+count: 5
+"""),
+    (("exceptional", "--seq", "1,2,4", "--format", "csv"), 0, "prime\n2\n3\n5\n"),
+    (("exceptional", "--seq", "1,2,3", "--format", "csv"), 1, """\
+error,message
+invalid-candidate,"candidate is not sum-distinct: term subsets [1, 2] and [3] both sum to 3"
+"""),
+]
+
+
+@pytest.mark.parametrize("argv, code, expected", GOLDEN,
+                         ids=[" ".join(argv) for argv, _, _ in GOLDEN])
+def test_rendering_is_pinned(capsys, argv, code, expected):
+    assert run(capsys, *argv)[:2] == (code, expected)
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "--k", "2", "--seq", "1", "--limit", "30", "--workers", "1"),
+    ("search", "--k", "2", "--seq", "1,2,3", "--limit", "30", "--workers", "1"),
+    ("density", "--k", "2", "--seq", "1,2,4", "--limit", "5000", "--workers", "1"),
+    ("density", "--k", "1", "--seq", "1", "--limit", "100", "--workers", "1"),
+    ("exceptional", "--seq", "1,2,4"),
+    ("exceptional", "--seq", "1,2,3"),
+    ("ff-search", "--char", "5", "--k", "2", "--tpowers", "3", "--max-degree", "2"),
+    ("ff-search", "--char", "2", "--k", "1", "--tpowers", "3", "--max-degree", "4"),
+    ("ff-search", "--char", "2", "--k", "2", "--seq", "GF(2)[1],GF(2)[1]",
+     "--max-degree", "3"),
+], ids=" ".join)
+def test_csv_parses_back_as_wide_as_its_header(capsys, argv):
+    _, out, _ = run(capsys, *argv, "--format", "csv")
+    header, *rows = csv.reader(io.StringIO(out, newline=""))
+    assert all(len(row) == len(header) for row in rows), out
 
 
 def test_table_output_mentions_verdict(capsys):
