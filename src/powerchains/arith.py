@@ -16,11 +16,14 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd, isqrt
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from powerchains.errors import OverflowLimitError
+
+if TYPE_CHECKING:
+    import numpy as np  # imported by the segmented sieve alone, at call time
 
 MAX_VALUE = 2**127 - 1
 
@@ -35,7 +38,9 @@ _TINY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 TRIAL_DIVISION_LIMIT = 10**6
 _SEGMENT_ODDS = 1 << 20  # odd slots per sieve segment; cache-resident bitset
 
-_small_prime_cache: list[int] | None = None
+# every prime <= _small_prime_bound, grown on demand by factor()
+_small_prime_cache: list[int] = []
+_small_prime_bound = 1
 
 
 def _check_width(n: int, what: str = "value") -> int:
@@ -146,10 +151,31 @@ class Factorization:
         return iter(self.factors)
 
 
-def _small_primes() -> list[int]:
-    global _small_prime_cache
-    if _small_prime_cache is None:
-        _small_prime_cache = primes_up_to(TRIAL_DIVISION_LIMIT).tolist()
+def _sieve(limit: int) -> list[int]:
+    """All primes <= limit, by an odd-only bytearray sieve (no numpy)."""
+    if limit < 2:
+        return []
+    n = (limit + 1) // 2  # slot i stands for 2i + 1
+    mask = bytearray([1]) * n
+    mask[0] = 0
+    for i in range(1, (isqrt(limit) + 1) // 2):
+        if mask[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            mask[start::p] = bytes(len(range(start, n, p)))
+    return [2, *compress(range(1, limit + 1, 2), mask)]
+
+
+def _small_primes(bound: int) -> list[int]:
+    """A list that starts with every prime <= bound (<= TRIAL_DIVISION_LIMIT).
+
+    The cache grows at least twofold when it must grow, so a run of
+    factorizations of increasing size re-sieves only O(log) times.
+    """
+    global _small_prime_cache, _small_prime_bound
+    if bound > _small_prime_bound:
+        _small_prime_bound = min(TRIAL_DIVISION_LIMIT, max(bound, 2 * _small_prime_bound))
+        _small_prime_cache = _sieve(_small_prime_bound)
     return _small_prime_cache
 
 
@@ -187,9 +213,9 @@ def _pollard_brent(n: int) -> int:
 def factor(n: int) -> Factorization:
     """Complete signed prime factorization.
 
-    Trial division by primes below 10^6, then Pollard-Brent rho on whatever
-    remains.  Raises ValueError for n = 0 and OverflowLimitError beyond the
-    supported width.
+    Trial division by the primes up to min(sqrt(|n|), 10^6), then
+    Pollard-Brent rho on whatever remains.  Raises ValueError for n = 0 and
+    OverflowLimitError beyond the supported width.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -198,7 +224,7 @@ def factor(n: int) -> Factorization:
     if n < 0:
         sign, n = -1, -n
     found: dict[int, int] = {}
-    for p in _small_primes():
+    for p in _small_primes(min(isqrt(n), TRIAL_DIVISION_LIMIT)):
         if p * p > n:
             break
         while n % p == 0:
@@ -235,28 +261,18 @@ def euler_phi(n: int) -> int:
     return out
 
 
-def _simple_sieve(limit: int) -> np.ndarray:
-    if limit < 2:
-        return np.array([], dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
-
-
 def prime_blocks(lo: int, hi: int):
     """Yield numpy int64 arrays that together hold every prime in [lo, hi].
 
     Segmented odd-only sieve; working memory stays proportional to the
     segment size, so limits around 10^8 are routine.
     """
+    import numpy as np
+
     lo = max(lo, 2)
     if hi < lo:
         return
-    base = _simple_sieve(isqrt(hi))
-    odd_base = base[1:]  # drop 2
+    odd_base = _sieve(isqrt(hi))[1:]  # drop 2
     if lo <= 2 <= hi:
         yield np.array([2], dtype=np.int64)
     low = max(lo, 3)
@@ -267,7 +283,7 @@ def prime_blocks(lo: int, hi: int):
         high = min(low + span, hi + 1)  # exclusive
         count = (high - low + 1) // 2
         mask = np.ones(count, dtype=bool)
-        for p in odd_base.tolist():
+        for p in odd_base:
             p2 = p * p
             if p2 >= high:
                 break
@@ -284,6 +300,8 @@ def prime_blocks(lo: int, hi: int):
 
 def primes_in_range(lo: int, hi: int) -> np.ndarray:
     """All primes in [lo, hi], ascending, as an int64 array."""
+    import numpy as np
+
     blocks = list(prime_blocks(lo, hi))
     if not blocks:
         return np.array([], dtype=np.int64)

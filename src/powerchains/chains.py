@@ -21,11 +21,21 @@ That identity is load-bearing and is enforced by exhaustive test against the
 all-permutations definition, never assumed silently.
 
 The prime scan behind find_chain_primes, chain_primes_in_range and
-density_counts_in_range builds E once and tests each prime p in the cheap
+density_counts_in_range builds E once and tests the primes in the cheap
 order: p < |E| is skipped (by pigeonhole E cannot be distinct mod p), then
-condition 3 is tested element by element up to the first non-residue, and
-condition 2 only for the primes that pass it and lie at or below
-max(E) - min(E) (above that it holds automatically).
+condition 3 is tested element by element, and condition 2 only for the
+primes that pass it and lie at or below max(E) - min(E) (above that it holds
+automatically).
+
+Condition 3 runs on numpy int64 slices of at most 2^15 primes from the
+sieve: g = gcd(k, p - 1) per prime (g = 1 passes outright), then for one
+element c of E at a time, (c mod p)^((p-1)/g) mod p by vectorised
+square-and-multiply over the primes still alive, which shrink after every
+element.  That is exact only while int64 holds the work: p < 2^31 (so that
+products of residues stay below 2^62), every element of E within +/-2^62
+and k < 2^63.  Primes, candidates and k beyond that take the one other path,
+a Python-int loop with one pow per (prime, element) up to the first
+non-residue.
 """
 
 from __future__ import annotations
@@ -186,19 +196,61 @@ def exceptional_primes(r) -> ExceptionalPrimeSet:
     return ExceptionalPrimeSet(tuple(sorted(primes)))
 
 
-def _block_hits(values, spread, k, block) -> list[int]:
-    """Primes p in `block` for which E is distinct mod p and all residues.
+_SLICE = 1 << 15          # primes per residue-filter slice; bounds its temporaries
+_INT64_PRIMES = 1 << 31   # below this, a product of two residues fits in int64
+_INT64_VALUES = 1 << 62   # elements of E within +/- this reduce exactly in int64
 
-    `values` is the sorted subset-sum set E of a sum-distinct candidate and
-    `spread` = max - min.  The order is the cheap one: p < |E| is skipped by
-    pigeonhole, residues are tested up to the first non-residue, and only
-    the primes that pass with p <= spread have their distinctness checked.
-    """
-    hits = []
-    n = len(values)
-    for p in block:
-        if p < n:
+
+def _residue_survivors(elements, k: int, primes):
+    """The primes of the int64 array `primes` (each < 2^31) at which every
+    element of the int64 array `elements` is a kth power residue (k < 2^63).
+    Elements 0 and 1 are residues mod every prime and cost nothing."""
+    import numpy as np
+
+    g = np.gcd(primes - 1, np.int64(k))
+    alive = np.flatnonzero(g > 1)  # g = 1: every element is a residue
+    p = primes[alive]
+    e = (p - 1) // g[alive]
+    for c in elements:
+        if not p.size:
+            break
+        if 0 <= c <= 1:
             continue
+        a = c % p
+        # a^e mod p for every prime at once; b < p < 2^31, so b * b < 2^62
+        acc, b, x = np.ones_like(p), a, e
+        while True:
+            acc = acc * ((x & 1) * (b - 1) + 1) % p
+            x = x >> 1
+            if not x.any():
+                break
+            b = b * b % p
+        keep = (a <= 1) | (acc == 1)
+        alive, p, e = alive[keep], p[keep], e[keep]
+    passed = g == 1
+    passed[alive] = True
+    return primes[passed]
+
+
+def _block_hits(values, elements, spread, k, block) -> list[int]:
+    """Primes p in the int64 array `block` for which E is distinct mod p and
+    all residues.
+
+    `values` is the sorted subset-sum set E of a sum-distinct candidate,
+    `elements` the same as an int64 array (None when an element lies beyond
+    +/-2^62 or k >= 2^63), and `spread` = max - min.  The order is the cheap
+    one: p < |E| is skipped by pigeonhole, residues are tested by
+    _residue_survivors for the primes below 2^31 and by the Python-int loop
+    for the rest (see the module docstring), and only the primes that pass
+    with p <= spread have their distinctness checked.
+    """
+    n = len(values)
+    block = block[block >= n]
+    cut, hits = 0, []
+    if elements is not None:
+        cut = int(block.searchsorted(_INT64_PRIMES))
+        hits = _residue_survivors(elements, k, block[:cut]).tolist()
+    for p in block[cut:].tolist():
         g = gcd(k, p - 1)
         if g > 1:
             e = (p - 1) // g
@@ -210,14 +262,14 @@ def _block_hits(values, spread, k, block) -> list[int]:
                     break
             if not ok:
                 continue
-        if p > spread or len({c % p for c in values}) == n:
-            hits.append(p)
-    return hits
+        hits.append(p)
+    return [p for p in hits if p > spread or len({c % p for c in values}) == n]
 
 
 def _scan(r, k: int, lo: int, hi: int, *, sweep: bool = False):
     """(number of primes, permutation-chain primes) for each prime block of
-    [lo, hi], with E built once.
+    [lo, hi], with E built once; the blocks reach the residue filter in
+    slices of at most 2^15 primes.
 
     A candidate that is not sum-distinct admits no permutation-chain prime
     at all: its blocks are swept, with no hits, only when `sweep` is set (to
@@ -228,10 +280,16 @@ def _scan(r, k: int, lo: int, hi: int, *, sweep: bool = False):
     sd, values = _subsets.sum_distinct(terms)
     if not sd and not sweep:
         return
+    import numpy as np
+
     values = sorted(values)
     spread = values[-1] - values[0]
+    narrow = k < 2**63 and -_INT64_VALUES <= values[0] and values[-1] <= _INT64_VALUES
+    elements = np.array(values, dtype=np.int64) if sd and narrow else None
     for block in arith.prime_blocks(lo, hi):
-        yield len(block), _block_hits(values, spread, k, block.tolist()) if sd else []
+        yield len(block), [p for i in range(0, len(block), _SLICE)
+                           for p in _block_hits(values, elements, spread, k,
+                                                block[i:i + _SLICE])] if sd else []
 
 
 def chain_primes_in_range(r, k: int, lo: int, hi: int) -> list[int]:

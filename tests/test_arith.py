@@ -1,4 +1,7 @@
+import json
 import random
+import subprocess
+import sys
 from math import gcd
 
 import pytest
@@ -128,6 +131,23 @@ def test_factor_round_trips_to_1e5():
             assert all(e >= 1 for _, e in f.factors)
             assert list(f.factors) == sorted(f.factors)
             assert all(is_prime(p) for p, _ in f.factors)
+
+
+def test_factor_in_a_fresh_process_grows_its_primes_as_needed():
+    # factor() trial-divides by a prime list it extends only as far as
+    # sqrt(n) needs, so squares and products of primes, factored in
+    # increasing order from an empty list, land on every boundary of it
+    primes = trial_division_primes(1200)
+    ns = sorted({p * q for p, q in zip(primes, primes[1:])} | {p * p for p in primes}
+                | {999983**2, 999983 * 1000003, 1000003**2})
+    script = ("import json, sys\n"
+              "from powerchains.arith import factor\n"
+              "print(json.dumps([factor(n).factors for n in json.loads(sys.argv[1])]))")
+    out = subprocess.run([sys.executable, "-c", script, json.dumps(ns)],
+                         capture_output=True, text=True, check=True).stdout
+    for n, got in zip(ns, json.loads(out)):
+        assert Factorization(1, tuple(map(tuple, got))).value() == n
+        assert all(is_prime(p) for p, _ in got), n
 
 
 def test_factor_large_semiprime_and_powers():

@@ -369,6 +369,42 @@ def test_one_scan_matches_the_per_modulus_verifier(monkeypatch):
         assert chain_primes_in_range([1, 2, 3], k, 2, limit) == []
 
 
+def test_scan_past_the_int64_residue_filter_matches_the_verifier():
+    # the scan tests residues on int64 arrays only while p < 2^31, every
+    # subset sum lies within +/-2^62 and k < 2^63; these cases sit on both
+    # sides of each of those bounds, so both residue paths are compared with
+    # the per-modulus verifier
+    def expected(r, k, primes):
+        return [p for p in primes if is_permutation_chain(r, k, p).is_permutation]
+
+    limit = 600
+    primes = arith.primes_up_to(limit).tolist()
+    cases = [([1, 2, 4], k) for k in (2**63 - 1, 2**63, 2**63 + 1, 2**70, 6 * 2**70)]
+    cases += [(r, k) for r in ([1, 2, 2**70], [2**62 - 4, 1, 3], [2**62 - 3, 1, 3],
+                               [-(2**100) + 3, 5, -7], [-(2**62) + 7, -3, -5])
+              for k in (2, 3, 6)]
+    for r, k in cases:
+        want = expected(r, k, primes)
+        assert find_chain_primes(r, k, limit) == want, (r, k)
+        assert chain_primes_in_range(r, k, 2, 300) + \
+            chain_primes_in_range(r, k, 301, limit) == want, (r, k)
+        assert density_counts_in_range(r, k, 2, limit) == (len(primes), len(want)), (r, k)
+    assert any(expected(r, k, primes) for r, k in cases)
+
+    # primes on both sides of 2^31, and near 2^32 where int64 squares of
+    # residues would overflow, with spreads below, across and above them
+    for lo, hi in ((2**31 - 3000, 2**31 + 3000), (2**32 - 1500, 2**32 + 1500)):
+        near = arith.primes_in_range(lo, hi).tolist()
+        for r in ([1, 2, 4], [1, -3], [5, 2**31 + 11], [3, 2**40 + 1, -7]):
+            for k in (1, 2, 3, 6, 2**70):
+                want = expected(r, k, near)
+                assert chain_primes_in_range(r, k, lo, hi) == want, (r, k, lo)
+                assert density_counts_in_range(r, k, lo, hi) == \
+                    (len(near), len(want)), (r, k, lo)
+                if k == 2 and r == [1, 2, 4] and lo < 2**31:
+                    assert min(want) < 2**31 < max(want)
+
+
 def test_find_chain_primes_rejects_bad_k():
     with pytest.raises(ValueError):
         find_chain_primes([1, 2, 4], 0, 100)

@@ -514,3 +514,27 @@ def test_subprocess_entry_point():
     assert proc.returncode == 1
     payload = json.loads(proc.stdout)
     assert payload["result"]["sum_distinct"] is False
+
+
+def test_commands_that_do_not_sieve_leave_numpy_unloaded():
+    # numpy is imported by the prime sieve alone: the per-modulus commands,
+    # F_p[t] and the factoring in ff-verify never load it; a range scan does
+    script = """
+import contextlib, io, sys
+from powerchains import cli
+runs = [["verify", "--k", "2", "--modulus", "7", "--seq", "1,2,4"],
+        ["candidate-check", "--seq", "1,2,4"],
+        ["ff-verify", "--char", "3", "--k", "9", "--modulus", "GF(3)[1,2,0,1]",
+         "--tpowers", "3"],
+        ["ff-search", "--char", "3", "--k", "2", "--tpowers", "2", "--max-degree", "3"],
+        ["search", "--k", "2", "--seq", "1,2,4", "--limit", "100"]]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv + ["--json"])
+    print(argv[0], code, "numpy" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split("\n")[:-1] == [
+        "verify 1 False", "candidate-check 0 False", "ff-verify 0 False",
+        "ff-search 0 False", "search 1 True"]
