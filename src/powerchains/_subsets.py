@@ -14,6 +14,7 @@ which both `int` and `FFPoly` support.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, permutations
 from math import gcd
 from typing import Callable
@@ -132,7 +133,7 @@ def sum_set(terms, with_witnesses: bool) -> SumSet:
     if with_witnesses:
         witnesses = subset_value_witnesses(terms)
         return SumSet(frozenset(witnesses), witnesses, len(terms))
-    return SumSet(frozenset(subset_values(terms)), None, len(terms))
+    return SumSet(sum_distinct(terms)[1], None, len(terms))
 
 
 @dataclass(frozen=True)
@@ -149,21 +150,28 @@ class SumDistinctResult:
         return self.distinct
 
 
-def sum_distinct(terms) -> tuple[SumDistinctResult, set]:
+def sum_distinct(terms) -> tuple[SumDistinctResult, frozenset]:
     """The candidate condition together with the subset-sum set E it builds.
 
     E is returned either way; it is deduplicated when the candidate is not
-    sum-distinct.  The collision witness is the first in bitmask order.
+    sum-distinct.  The collision witness is the first in bitmask order.  The
+    last result is kept, so the calls one job makes on the same terms build
+    E once.
     """
     check_term_cap(len(terms))
-    values = subset_values(terms)
+    return _sum_distinct(tuple(terms))
+
+
+@lru_cache(maxsize=1)
+def _sum_distinct(terms: tuple) -> tuple[SumDistinctResult, frozenset]:
+    values = frozenset(subset_values(terms))
     if len(values) == (1 << len(terms)) - 1:
         return SumDistinctResult(True), values
     a, b, s = first_sum_collision(terms)
     return SumDistinctResult(False, (a, b), s), values
 
 
-def require_sum_distinct(terms, where: str = "") -> set:
+def require_sum_distinct(terms, where: str = "") -> frozenset:
     """E for a sum-distinct candidate; InvalidCandidateError otherwise."""
     sd, values = sum_distinct(terms)
     if not sd:

@@ -265,22 +265,26 @@ def prime_blocks(lo: int, hi: int):
     """Yield numpy int64 arrays that together hold every prime in [lo, hi].
 
     Segmented odd-only sieve; working memory stays proportional to the
-    segment size, so limits around 10^8 are routine.
+    segment size, so limits around 10^8 are routine.  The base primes grow
+    (at least twofold) with the segment, so huge ranges start at once.
     """
     import numpy as np
 
     lo = max(lo, 2)
     if hi < lo:
         return
-    odd_base = _sieve(isqrt(hi))[1:]  # drop 2
     if lo <= 2 <= hi:
         yield np.array([2], dtype=np.int64)
     low = max(lo, 3)
     if low % 2 == 0:
         low += 1
     span = 2 * _SEGMENT_ODDS
+    odd_base, bound = [], 1
     while low <= hi:
         high = min(low + span, hi + 1)  # exclusive
+        if isqrt(high - 1) > bound:
+            bound = min(isqrt(hi), max(isqrt(high - 1), 2 * bound))
+            odd_base = _sieve(bound)[1:]  # drop 2
         count = (high - low + 1) // 2
         mask = np.ones(count, dtype=bool)
         for p in odd_base:

@@ -27,22 +27,20 @@ condition 3 is tested element by element, and condition 2 only for the
 primes that pass it and lie at or below max(E) - min(E) (above that it holds
 automatically).
 
-Condition 3 runs on numpy int64 slices of at most 2^15 primes from the
-sieve: g = gcd(k, p - 1) per prime (g = 1 passes outright), then for one
-element c of E at a time, (c mod p)^((p-1)/g) mod p by vectorised
-square-and-multiply over the primes still alive, which shrink after every
-element.  That is exact only while int64 holds the work: p < 2^31 (so that
-products of residues stay below 2^62), every element of E within +/-2^62
-and k < 2^63.  Primes, candidates and k beyond that take the one other path,
-a Python-int loop with one pow per (prime, element) up to the first
-non-residue.
+Condition 3 runs on numpy slices of at most 2^15 primes from the sieve, in
+one filter: g = gcd(k, p - 1) per prime (g = 1 passes outright), then for
+one element c of E at a time, (c mod p)^((p-1)/g) mod p over the primes
+still alive, which shrink after every element.  The arithmetic is picked
+from p and k: int64 square-and-multiply whenever p < 2^31 (so products of
+residues stay below 2^62) and k < 2^63, with an element of E beyond
++/-2^62 reduced mod p as a Python int before it is cast back to int64;
+otherwise the same loop runs over object arrays with Python's pow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from math import gcd
 
 from powerchains import _subsets, arith
 from powerchains._subsets import ChainFailure, ChainVerdict, SumDistinctResult, SumSet
@@ -201,69 +199,57 @@ _INT64_PRIMES = 1 << 31   # below this, a product of two residues fits in int64
 _INT64_VALUES = 1 << 62   # elements of E within +/- this reduce exactly in int64
 
 
-def _residue_survivors(elements, k: int, primes):
-    """The primes of the int64 array `primes` (each < 2^31) at which every
-    element of the int64 array `elements` is a kth power residue (k < 2^63).
-    Elements 0 and 1 are residues mod every prime and cost nothing."""
+def _powmod64(a, e, p):
+    """a^e mod p elementwise over int64 arrays with every p < 2^31, by
+    square-and-multiply: a < p, so a * a < 2^62."""
     import numpy as np
 
-    g = np.gcd(primes - 1, np.int64(k))
+    acc = np.ones_like(p)
+    while True:
+        acc = acc * ((e & 1) * (a - 1) + 1) % p
+        e = e >> 1
+        if not e.any():
+            return acc
+        a = a * a % p
+
+
+def _residue_survivors(values, k: int, primes):
+    """The list of primes of the int64 array `primes` at which every element
+    of the sorted subset-sum set `values` is a kth power residue.  Elements
+    0 and 1 are residues mod every prime and cost nothing.
+
+    The arithmetic is int64 for the primes below 2^31 when k < 2^63; an
+    element beyond +/-2^62 is then reduced as a Python int first.  The other
+    primes run the same loop over object arrays, with Python's pow.
+    """
+    import numpy as np
+
+    cut = int(primes.searchsorted(_INT64_PRIMES)) if k < 2**63 else 0
+    if 0 < cut < len(primes):  # a slice across 2^31: each side by its rule
+        return (_residue_survivors(values, k, primes[:cut])
+                + _residue_survivors(values, k, primes[cut:]))
+    if cut:  # every prime below 2^31
+        k, power = np.int64(k), _powmod64
+    else:
+        primes, power = primes.astype(object), np.frompyfunc(pow, 3, 1)
+    g = np.gcd(primes - 1, k)
     alive = np.flatnonzero(g > 1)  # g = 1: every element is a residue
     p = primes[alive]
     e = (p - 1) // g[alive]
-    for c in elements:
+    for c in values:
         if not p.size:
             break
         if 0 <= c <= 1:
             continue
-        a = c % p
-        # a^e mod p for every prime at once; b < p < 2^31, so b * b < 2^62
-        acc, b, x = np.ones_like(p), a, e
-        while True:
-            acc = acc * ((x & 1) * (b - 1) + 1) % p
-            x = x >> 1
-            if not x.any():
-                break
-            b = b * b % p
-        keep = (a <= 1) | (acc == 1)
+        if p.dtype == object or -_INT64_VALUES <= c <= _INT64_VALUES:
+            a = c % p
+        else:
+            a = (c % p.astype(object)).astype(np.int64)
+        keep = (a <= 1) | (power(a, e, p) == 1)
         alive, p, e = alive[keep], p[keep], e[keep]
     passed = g == 1
     passed[alive] = True
-    return primes[passed]
-
-
-def _block_hits(values, elements, spread, k, block) -> list[int]:
-    """Primes p in the int64 array `block` for which E is distinct mod p and
-    all residues.
-
-    `values` is the sorted subset-sum set E of a sum-distinct candidate,
-    `elements` the same as an int64 array (None when an element lies beyond
-    +/-2^62 or k >= 2^63), and `spread` = max - min.  The order is the cheap
-    one: p < |E| is skipped by pigeonhole, residues are tested by
-    _residue_survivors for the primes below 2^31 and by the Python-int loop
-    for the rest (see the module docstring), and only the primes that pass
-    with p <= spread have their distinctness checked.
-    """
-    n = len(values)
-    block = block[block >= n]
-    cut, hits = 0, []
-    if elements is not None:
-        cut = int(block.searchsorted(_INT64_PRIMES))
-        hits = _residue_survivors(elements, k, block[:cut]).tolist()
-    for p in block[cut:].tolist():
-        g = gcd(k, p - 1)
-        if g > 1:
-            e = (p - 1) // g
-            ok = True
-            for c in values:
-                a = c % p
-                if a > 1 and pow(a, e, p) != 1:
-                    ok = False
-                    break
-            if not ok:
-                continue
-        hits.append(p)
-    return [p for p in hits if p > spread or len({c % p for c in values}) == n]
+    return primes[passed].tolist()
 
 
 def _scan(r, k: int, lo: int, hi: int, *, sweep: bool = False):
@@ -280,16 +266,14 @@ def _scan(r, k: int, lo: int, hi: int, *, sweep: bool = False):
     sd, values = _subsets.sum_distinct(terms)
     if not sd and not sweep:
         return
-    import numpy as np
-
     values = sorted(values)
-    spread = values[-1] - values[0]
-    narrow = k < 2**63 and -_INT64_VALUES <= values[0] and values[-1] <= _INT64_VALUES
-    elements = np.array(values, dtype=np.int64) if sd and narrow else None
+    n, spread = len(values), values[-1] - values[0]
     for block in arith.prime_blocks(lo, hi):
-        yield len(block), [p for i in range(0, len(block), _SLICE)
-                           for p in _block_hits(values, elements, spread, k,
-                                                block[i:i + _SLICE])] if sd else []
+        live = block[block >= n] if sd else block[:0]  # p < |E|: pigeonhole
+        hits = [p for i in range(0, len(live), _SLICE)
+                for p in _residue_survivors(values, k, live[i:i + _SLICE])]
+        yield len(block), [p for p in hits
+                           if p > spread or len({c % p for c in values}) == n]
 
 
 def chain_primes_in_range(r, k: int, lo: int, hi: int) -> list[int]:

@@ -183,7 +183,22 @@ def test_primes_up_to_agrees_with_trial_division():
 
 
 def test_prime_counts_at_known_checkpoints():
+    # 10^7 spans five sieve segments, and the base primes grow twice
     assert len(primes_up_to(10**6)) == 78498
+    assert len(primes_up_to(10**7)) == 664579
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_first_blocks_of_a_huge_range_need_few_base_primes():
+    # the sieve grows its base primes with the segment it is on, so a search
+    # to 10^16 that stops at its first hit never sieves up to 10^8
+    script = ("import resource\n"
+              "from powerchains.chains import find_chain_primes\n"
+              "assert find_chain_primes([1, 2, 4], 2, 10**16, max_count=1) == [311]\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert int(out) < 100 * 1024  # KiB; the base primes up to 10^8 alone take ~300 MB
 
 
 def test_primes_in_range_segment_boundaries():

@@ -383,6 +383,7 @@ def test_scan_past_the_int64_residue_filter_matches_the_verifier():
     cases += [(r, k) for r in ([1, 2, 2**70], [2**62 - 4, 1, 3], [2**62 - 3, 1, 3],
                                [-(2**100) + 3, 5, -7], [-(2**62) + 7, -3, -5])
               for k in (2, 3, 6)]
+    cases += [([-(2**100) + 3, 5, -7], 2**70), ([1, 2, 2**70], 6 * 2**70)]
     for r, k in cases:
         want = expected(r, k, primes)
         assert find_chain_primes(r, k, limit) == want, (r, k)
@@ -392,10 +393,13 @@ def test_scan_past_the_int64_residue_filter_matches_the_verifier():
     assert any(expected(r, k, primes) for r, k in cases)
 
     # primes on both sides of 2^31, and near 2^32 where int64 squares of
-    # residues would overflow, with spreads below, across and above them
+    # residues would overflow, with spreads below, across and above them;
+    # the last candidate's sums beyond +/-2^62 are reduced as Python ints on
+    # both sides of 2^31
     for lo, hi in ((2**31 - 3000, 2**31 + 3000), (2**32 - 1500, 2**32 + 1500)):
         near = arith.primes_in_range(lo, hi).tolist()
-        for r in ([1, 2, 4], [1, -3], [5, 2**31 + 11], [3, 2**40 + 1, -7]):
+        for r in ([1, 2, 4], [1, -3], [5, 2**31 + 11], [3, 2**40 + 1, -7],
+                  [-(2**100) + 3, 2**63 + 5, -7]):
             for k in (1, 2, 3, 6, 2**70):
                 want = expected(r, k, near)
                 assert chain_primes_in_range(r, k, lo, hi) == want, (r, k, lo)
