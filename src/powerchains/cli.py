@@ -371,8 +371,7 @@ def _density(cfg: RunConfig) -> tuple[dict, int]:
     report = kummer.density_report_from_counts(
         terms, cfg.k, cfg.limit, sum(t for t, _ in counts), sum(h for _, h in counts))
     result = {
-        # only a sum-distinct candidate has hits
-        "sum_distinct": report.hits > 0 or bool(chains.is_sum_distinct(terms)),
+        "sum_distinct": bool(chains.is_sum_distinct(terms)),
         "limit": report.limit,
         "total_primes": report.total_primes,
         "hits": report.hits,

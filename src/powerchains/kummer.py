@@ -13,6 +13,9 @@ G is an abelian group of exponent dividing k; each generator is recorded as a
 vector of exponents mod k, indexed by the primes appearing in its
 factorization plus a sign coordinate (-1 has order 2 in Q*/(Q*)^k for even k,
 encoded as the value k/2 so that plain mod-k addition is the group law).
+|G| comes from one row-echelon pass over Z on these sparse vectors, with
+kZ^n kept implicit and every entry off the pivot reduced mod k; each pivot
+d divides k and contributes k/d, for prime and composite k alike.
 
 For k = 2 the bound is exact: a is a square mod p iff p splits in Q(sqrt a),
 so chain primes for k = 2 are exactly the split-completely primes outside the
@@ -80,63 +83,33 @@ def exponent_vector(a: int, k: int) -> ExponentVector:
     return ExponentVector(k, tuple(coords))
 
 
-def _echelon_diagonal(rows: list[list[int]], n: int) -> list[int]:
-    """Diagonal of a row-echelon form of a full-column-rank integer matrix,
-    reached by unimodular row operations (swap, negate, add multiples).
+def _subgroup_order(rows, k: int) -> int:
+    """Order of the subgroup of (Z/k)^n generated by sparse rows of
+    (position, exponent) pairs.
 
-    The product of the diagonal is the index in Z^n of the lattice spanned by
-    the rows.  gcd-style pivoting, no divisions, exact integers throughout.
+    The subgroup is L/kZ^n for the lattice L spanned over Z by the lifted rows
+    and kZ^n, so its order is the product of k/d over the diagonal entries d
+    of a row-echelon basis of L.  Each row is reduced against the pivots in
+    position order.  The row k*e_j stands in as the pivot at j until a row
+    first leads there.  Entries at the pivot position go through Euclid's
+    algorithm on whole rows, which swaps the rows on a nonzero remainder, and
+    every other entry is reduced mod k.  Each pivot therefore divides k, for
+    any k.
     """
-    mat = [list(r) for r in rows]
-    diag = []
-    top = 0
-    for col in range(n):
-        while True:
-            piv = -1
-            best = None
-            for i in range(top, len(mat)):
-                v = abs(mat[i][col])
-                if v and (best is None or v < best):
-                    piv, best = i, v
-            if piv < 0:
-                raise ValueError(f"matrix does not have full column rank at column {col}")
-            mat[top], mat[piv] = mat[piv], mat[top]
-            if mat[top][col] < 0:
-                mat[top] = [-x for x in mat[top]]
-            pval = mat[top][col]
-            clear = True
-            for i in range(top + 1, len(mat)):
-                v = mat[i][col]
-                if v:
-                    q = v // pval
-                    mat[i] = [x - q * y for x, y in zip(mat[i], mat[top])]
-                    if mat[i][col]:
-                        clear = False
-            if clear:
-                break
-        diag.append(mat[top][col])
-        top += 1
-    return diag
-
-
-def _subgroup_order(vectors: list[tuple[int, ...]], k: int, n: int) -> int:
-    """Order of the subgroup of (Z/k)^n generated by the given vectors.
-
-    Computed over Z by stacking the lifted generators on top of k*identity:
-    the stack spans a full-rank lattice L with kZ^n <= L <= Z^n, and the
-    subgroup is L/kZ^n of order k^n / [Z^n : L].
-    """
-    if k == 1 or n == 0:
-        return 1
-    rows = [[x % k for x in v] for v in vectors if any(x % k for x in v)]
-    for j in range(n):
-        rows.append([k if i == j else 0 for i in range(n)])
-    diag = _echelon_diagonal(rows, n)
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        r = {pos: e % k for pos, e in row if e % k}
+        while r:
+            j = min(r)
+            piv = pivots.get(j, {j: k})
+            q = r[j] // piv[j]
+            r = {pos: v for pos in r.keys() | piv.keys()
+                 if (v := (r.get(pos, 0) - q * piv.get(pos, 0)) % k)}
+            if j in r:
+                pivots[j], r = r, piv
     order = 1
-    for d in diag:
-        if k % d:
-            raise AssertionError(f"echelon diagonal {d} must divide {k}")
-        order *= k // d
+    for j, piv in pivots.items():
+        order *= k // piv[j]
     return order
 
 
@@ -155,26 +128,17 @@ def class_group(E, k: int) -> KummerClassGroup:
     """Class group data for a subset-sum set (or any iterable of integers).
 
     Zero elements generate nothing (0 is a residue at every prime) and are
-    excluded but counted.  The order is computed by gcd elimination over the
-    lifted integer matrix, which handles non-prime k exactly.
+    excluded but counted.  The order is computed by one gcd elimination over
+    the lifted integer matrix: the sparse exponent vectors are reduced mod k
+    against pivots that each divide k, so composite k needs no split into
+    prime powers.
     """
     _subsets.check_k(k)
-    if isinstance(E, chains.SumSet):
-        elements = sorted(E.values)
-    else:
-        elements = sorted({int(x) for x in E})
-    zeros = sum(1 for c in elements if c == 0)
-    nonzero = [c for c in elements if c != 0]
-    gens = tuple(exponent_vector(c, k) for c in nonzero)
+    elements = sorted({int(x) for x in E})
+    gens = tuple(exponent_vector(c, k) for c in elements if c)
     positions = tuple(sorted({pos for g in gens for pos, _ in g.coords}))
-    index = {pos: i for i, pos in enumerate(positions)}
-    vectors = []
-    for g in gens:
-        row = [0] * len(positions)
-        for pos, e in g.coords:
-            row[index[pos]] = e
-        vectors.append(tuple(row))
-    order = _subgroup_order(vectors, k, len(positions))
+    order = _subgroup_order((g.coords for g in gens), k)
+    zeros = len(elements) - len(gens)
     return KummerClassGroup(k, gens, positions, order, zeros)
 
 

@@ -4,7 +4,7 @@ from math import sqrt
 
 import pytest
 
-from powerchains.chains import subset_sums
+from powerchains.chains import subset_sums, vegh_sequence
 from powerchains.kummer import (
     DensityReport,
     ExponentVector,
@@ -135,18 +135,22 @@ def test_elimination_matches_bfs_on_raw_vectors():
     from powerchains.kummer import _subgroup_order
     rng = random.Random(3)
     for _ in range(80):
-        k = rng.randrange(1, 9)
+        k = rng.randrange(1, 17)
         n = rng.randrange(0, 5)
         vectors = [tuple(rng.randrange(0, k) for _ in range(n))
-                   for _ in range(rng.randrange(0, 5))]
+                   for _ in range(rng.randrange(0, 6))]
         expected = subgroup_order_bfs([v for v in vectors if n], k) if n else 1
-        assert _subgroup_order(list(vectors), k, n) == expected, (k, n, vectors)
+        assert _subgroup_order([enumerate(v) for v in vectors], k) == expected, \
+            (k, n, vectors)
 
 
 def test_k2_order_is_two_to_the_squarefree_rank():
     rng = random.Random(5)
-    for _ in range(40):
-        E = {rng.randrange(1, 400) for _ in range(rng.randrange(1, 8))}
+    sets = [{rng.randrange(1, 400) for _ in range(rng.randrange(1, 8))}
+            for _ in range(40)]
+    # 4,095 generators of rank 1,141, far past the breadth-first oracle
+    sets.append(set(subset_sums(vegh_sequence(12, 3))))
+    for E in sets:
         g = class_group(E, 2)
         # dedicated GF(2) route: indicator masks of the squarefree parts
         prime_slots: dict[int, int] = {}
@@ -165,6 +169,23 @@ def test_k2_order_is_two_to_the_squarefree_rank():
                 mask ^= 1 << prime_slots.setdefault(sf, len(prime_slots))
             masks.append(mask)
         assert g.subgroup_order == 2 ** gf2_rank(masks), sorted(E)
+
+
+def test_order_is_multiplicative_over_coprime_k():
+    # G in Q*/(Q*)^ab splits as the product of its images mod ath and mod bth
+    # powers when gcd(a, b) = 1, so the orders multiply
+    rng = random.Random(13)
+    cases = []
+    for _ in range(40):
+        a, b = rng.choice([(2, 3), (3, 4), (2, 5), (4, 9), (3, 5), (5, 8)])
+        terms = [rng.randrange(1, 10**6) for _ in range(rng.randrange(1, 9))]
+        cases.append((set(subset_sums(terms)), a, b))
+    E = set(subset_sums(vegh_sequence(12, 3)))
+    cases += [(E, 2, 3), (E, 4, 3)]
+    for E, a, b in cases:
+        assert class_group(E, a * b).subgroup_order == \
+            class_group(E, a).subgroup_order * class_group(E, b).subgroup_order, \
+            (sorted(E)[:8], a, b)
 
 
 def test_order_invariant_under_kth_power_rescaling():
