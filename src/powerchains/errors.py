@@ -6,7 +6,9 @@ class OverflowLimitError(OverflowError):
 
 
 class SizeLimitError(ValueError):
-    """A sequence is longer than the fixed subset-sum cap of 24 terms."""
+    """An input passes a fixed size cap: a sequence longer than the
+    subset-sum cap of 24 terms, or an F_p[t] sieve or modulus search over
+    more monic polynomials than `ffield.MAX_MONICS` (2^16)."""
 
 
 class InvalidCandidateError(ValueError):

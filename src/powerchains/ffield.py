@@ -3,6 +3,22 @@ moduli, kth power residue tests, and the search for chain moduli.  Chain
 verification for polynomial candidates such as 1, t, t^2, ... goes through
 the ring-generic chain core in `_subsets`, shared with the integers.
 
+All F_p[t] arithmetic is one kernel on coefficient tuples, lowest degree
+first, with entries in [0, p) and no trailing zeros (the zero polynomial is
+the empty tuple): multiplication, division by a monic, and mulmod/powmod
+against a fixed monic modulus.  `FFPoly` wraps such a tuple and hands every
+operator to the kernel.  The irreducible sieve works on tuples and builds
+`FFPoly` objects only for the irreducibles it returns; the modulus search
+reduces E as tuples, through the chain core's per-modulus test, and builds
+an `IrreducibleModulus` only for the moduli it returns.
+
+`irreducibles_of_degree` sieves the p^d monics of degree d, held in one
+bytearray indexed by base-p value: it marks every product g*h of a monic
+irreducible g of degree <= d/2 and a monic h of the complementary degree, and
+what stays unmarked is irreducible.  Rabin's criterion (`is_irreducible`) is
+the independent check.  Enumeration is capped at MAX_MONICS monics: a call
+that would sieve or search more raises SizeLimitError before any work.
+
 The residue test uses the characteristic-p reduction: writing k = p^t * k'
 with gcd(k', p) = 1, an element is a kth power residue mod an irreducible f
 iff it is a k'th power residue, because x -> x^p is a bijection (Frobenius)
@@ -24,13 +40,16 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import mul
 
 from powerchains import _subsets, arith
 from powerchains._subsets import ChainVerdict, SumDistinctResult, SumSet
+from powerchains.errors import SizeLimitError
 
 __all__ = [
     "FFPoly",
     "IrreducibleModulus",
+    "MAX_MONICS",
     "powmod",
     "poly_gcd",
     "is_irreducible",
@@ -48,6 +67,11 @@ __all__ = [
     "poly_to_text",
 ]
 
+# Monics one sieve or search may enumerate.  At the cap a search takes about
+# 10 s (F_251[t] to degree 2, k = 2, on a 2-core host), so a larger field
+# fails fast instead of running for minutes.
+MAX_MONICS = 2**16
+
 
 @lru_cache(maxsize=None)
 def _check_characteristic(p: int) -> int:
@@ -56,13 +80,108 @@ def _check_characteristic(p: int) -> int:
     return p
 
 
+# -- the kernel: arithmetic on coefficient tuples ---------------------------
+
+
+def _trim(c) -> tuple:
+    """Coefficients in [0, p) as a kernel tuple: trailing zeros dropped."""
+    n = len(c)
+    while n and not c[n - 1]:
+        n -= 1
+    return tuple(c[:n])
+
+
+def _add(a: tuple, b: tuple, p: int) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = (out[i] + c) % p
+    return _trim(out)
+
+
+def _neg(a: tuple, p: int) -> tuple:
+    return tuple([-c % p for c in a])
+
+
+def _product(a: tuple, b: tuple) -> list:
+    """Coefficients of a*b over Z, not yet reduced mod p; a, b nonzero."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _mul(a: tuple, b: tuple, p: int) -> tuple:
+    if not a or not b:
+        return ()
+    # the leading coefficient is a product of units mod p: nothing to trim.
+    # A list, not a generator, so the tuple is allocated at its final size.
+    return tuple([c % p for c in _product(a, b)])
+
+
+def _divmod(c: list, f: tuple, p: int) -> tuple[tuple, tuple]:
+    """(quotient, remainder) of c by a monic f, where c is a list of integer
+    coefficients, not necessarily reduced mod p; c is consumed."""
+    d = len(f) - 1
+    quot = []
+    for s in range(len(c) - 1 - d, -1, -1):
+        q = c.pop() % p
+        quot.append(q)
+        if q:
+            for j in range(d):
+                c[s + j] -= q * f[j]
+    return _trim(quot[::-1]), _trim([x % p for x in c])
+
+
+class _Modulus:
+    """A monic modulus f of degree >= 1 over F_p, fixed for a run of
+    mulmods; `a % m` reduces a kernel tuple a, as the chain core expects."""
+
+    __slots__ = ("f", "p")
+
+    def __init__(self, f: tuple, p: int):
+        self.f = f
+        self.p = p
+
+    def __rmod__(self, a: tuple) -> tuple:
+        if len(a) < len(self.f):
+            return a
+        return _divmod(list(a), self.f, self.p)[1]
+
+
+def _mulmod(a: tuple, b: tuple, m: _Modulus) -> tuple:
+    if not a or not b:
+        return ()
+    return _divmod(_product(a, b), m.f, m.p)[1]
+
+
+def _powmod(a: tuple, e: int, m: _Modulus) -> tuple:
+    """a^e mod m by left-to-right square-and-multiply, e >= 0."""
+    if not e:
+        return (1,)
+    a = a % m
+    result = a
+    for bit in bin(e)[3:]:
+        result = _mulmod(result, result, m)
+        if bit == "1":
+            result = _mulmod(result, a, m)
+    return result
+
+
+# -- polynomials --------------------------------------------------------------
+
+
 @dataclass(frozen=True)
 class FFPoly:
     """Dense polynomial over F_p: coeffs[i] is the coefficient of t^i.
 
     Instances are normalized (coefficients reduced mod p, no trailing zeros;
     the zero polynomial has an empty coefficient tuple) and hashable, so they
-    can live in sets of subset sums.
+    can live in sets of subset sums.  `coeffs` is a kernel tuple, and every
+    operator is computed on it by the kernel.
     """
 
     p: int
@@ -70,10 +189,16 @@ class FFPoly:
 
     def __post_init__(self):
         p = _check_characteristic(self.p)
-        coeffs = [c % p for c in self.coeffs]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "coeffs", _trim([c % p for c in self.coeffs]))
+
+    @classmethod
+    def _of(cls, p: int, coeffs: tuple) -> "FFPoly":
+        """Wrap a kernel tuple over a checked characteristic, skipping the
+        normalization it already has."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "p", p)
+        object.__setattr__(obj, "coeffs", coeffs)
+        return obj
 
     # -- constructors ------------------------------------------------------
 
@@ -132,18 +257,12 @@ class FFPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.p
-        return FFPoly(self.p, tuple(out))
+        return FFPoly._of(self.p, _add(self.coeffs, other.coeffs, self.p))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FFPoly(self.p, tuple(-c for c in self.coeffs))
+        return FFPoly._of(self.p, _neg(self.coeffs, self.p))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -158,29 +277,21 @@ class FFPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return FFPoly.zero(self.p)
-        p = self.p
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = (out[i + j] + a * b) % p
-        return FFPoly(p, tuple(out))
+        return FFPoly._of(self.p, _mul(self.coeffs, other.coeffs, self.p))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative exponents are not supported")
-        result = FFPoly.one(self.p)
-        base = self
+        p, result, base = self.p, (1,), self.coeffs
         while e:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = _mul(result, base, p)
             e >>= 1
-        return result
+            if e:
+                base = _mul(base, base, p)
+        return FFPoly._of(p, result)
 
     def __divmod__(self, other):
         other = self._coerce(other)
@@ -188,23 +299,11 @@ class FFPoly:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        # divide by the monic associate, then scale the quotient back
         p = self.p
-        rem = list(self.coeffs)
-        db = other.degree
-        inv = pow(other.coeffs[-1], p - 2, p)
-        quot = [0] * max(len(rem) - db, 0)
-        while len(rem) - 1 >= db:
-            if rem[-1] == 0:
-                rem.pop()
-                continue
-            c = rem[-1] * inv % p
-            shift = len(rem) - 1 - db
-            quot[shift] = c
-            for i, b in enumerate(other.coeffs):
-                rem[shift + i] = (rem[shift + i] - c * b) % p
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return FFPoly(p, tuple(quot)), FFPoly(p, tuple(rem))
+        inv = pow(other.coeffs[-1], -1, p)
+        quot, rem = _divmod(list(self.coeffs), other.monic().coeffs, p)
+        return FFPoly._of(p, tuple([c * inv % p for c in quot])), FFPoly._of(p, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -216,8 +315,8 @@ class FFPoly:
         """Scale by the inverse of the leading coefficient."""
         if self.is_zero() or self.is_monic():
             return self
-        inv = pow(self.coeffs[-1], self.p - 2, self.p)
-        return FFPoly(self.p, tuple(c * inv % self.p for c in self.coeffs))
+        inv = pow(self.coeffs[-1], -1, self.p)
+        return FFPoly._of(self.p, tuple([c * inv % self.p for c in self.coeffs]))
 
     # -- formatting --------------------------------------------------------
 
@@ -283,14 +382,9 @@ def powmod(base: FFPoly, exp: int, modulus: FFPoly) -> FFPoly:
         raise ValueError("modulus must have degree >= 1")
     if base.p != modulus.p:
         raise ValueError(f"characteristic mismatch: F_{base.p} vs F_{modulus.p}")
-    base = base % modulus
-    result = FFPoly.one(base.p)
-    while exp:
-        if exp & 1:
-            result = result * base % modulus
-        base = base * base % modulus
-        exp >>= 1
-    return result
+    # a remainder mod f is a remainder mod its monic associate
+    m = _Modulus(modulus.monic().coeffs, modulus.p)
+    return FFPoly._of(base.p, _powmod(base.coeffs, exp, m))
 
 
 def poly_gcd(a: FFPoly, b: FFPoly) -> FFPoly:
@@ -322,7 +416,19 @@ def is_irreducible(f: FFPoly) -> bool:
     return True
 
 
-_irreducible_cache: dict[tuple[int, int], tuple[FFPoly, ...]] = {}
+def _check_monic_count(p: int, degrees: range) -> None:
+    """SizeLimitError up front when the monics of these degrees over F_p
+    number more than MAX_MONICS."""
+    count = 0
+    for d in degrees:
+        # p^d > MAX_MONICS already for d >= its bit length, so the power
+        # never needs to be larger than that
+        count += p ** min(d, MAX_MONICS.bit_length())
+        if count > MAX_MONICS:
+            span = f"{degrees[0]}..{degrees[-1]}" if len(degrees) > 1 else f"{d}"
+            raise SizeLimitError(
+                f"the monic polynomials of degree {span} over F_{p} number more "
+                f"than the enumeration cap of {MAX_MONICS} monics")
 
 
 def _low_first(p: int, d: int):
@@ -331,30 +437,43 @@ def _low_first(p: int, d: int):
     return (c[::-1] for c in product(range(p), repeat=d))
 
 
-def _monics(p: int, d: int):
-    """All monic polynomials of degree d, ascending by base-p value."""
-    for coeffs in _low_first(p, d):
-        yield FFPoly(p, coeffs + (1,))
+_irreducible_cache: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+
+
+def _irreducible_coeffs(p: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """Kernel tuples of the monic irreducibles of degree d, ascending by
+    base-p value, by the sieve; cached per (p, d)."""
+    key = (p, d)
+    if key not in _irreducible_cache:
+        # composite[v] marks the monic whose d low coefficients have base-p
+        # value v (the leading 1 falls outside `weights`); every reducible
+        # one has a monic irreducible factor of degree <= d/2
+        composite = bytearray(p**d)
+        weights = [p**i for i in range(d)]
+        for e in range(1, d // 2 + 1):
+            for g in _irreducible_coeffs(p, e):
+                for low in _low_first(p, d - e):
+                    composite[sum(map(mul, _mul(g, low + (1,), p), weights))] = 1
+        _irreducible_cache[key] = tuple(
+            low + (1,) for low, marked in zip(_low_first(p, d), composite)
+            if not marked)
+    return _irreducible_cache[key]
 
 
 def irreducibles_of_degree(p: int, d: int) -> list[FFPoly]:
     """All monic irreducibles of degree exactly d, in lexicographic
     (base-p value) order.
 
-    Trial division: a monic of degree d is kept iff no monic irreducible of
-    degree <= d/2 divides it.  The Rabin criterion (`is_irreducible`) is the
-    independent check of this list.
+    A sieve over the p^d monics of degree d marks every product of a monic
+    irreducible of degree <= d/2 with a monic of the complementary degree;
+    the Rabin criterion (`is_irreducible`) is the independent check of this
+    list.  Raises SizeLimitError when p^d passes MAX_MONICS.
     """
     _check_characteristic(p)
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
-    key = (p, d)
-    if key not in _irreducible_cache:
-        lower = [g for dd in range(1, d // 2 + 1)
-                 for g in irreducibles_of_degree(p, dd)]
-        _irreducible_cache[key] = tuple(
-            f for f in _monics(p, d) if all((f % g).coeffs for g in lower))
-    return list(_irreducible_cache[key])
+    _check_monic_count(p, range(d, d + 1))
+    return [FFPoly._of(p, f) for f in _irreducible_coeffs(p, d)]
 
 
 @dataclass(frozen=True)
@@ -484,7 +603,8 @@ def find_chain_irreducibles(r, k: int, p: int, max_degree: int) -> list[Irreduci
     permutation chain of kth power residues, ordered by (degree, value).
 
     Raises InvalidCandidateError when r is not sum-distinct over F_p[t]
-    (no modulus can work then).
+    (no modulus can work then), and SizeLimitError, before any work, when
+    the monics of degree <= max_degree pass MAX_MONICS.
     """
     terms = _ff_terms(r)
     _check_characteristic(p)
@@ -493,15 +613,20 @@ def find_chain_irreducibles(r, k: int, p: int, max_degree: int) -> list[Irreduci
     _subsets.check_k(k)
     if max_degree < 1:
         raise ValueError(f"max_degree must be >= 1, got {max_degree}")
+    _check_monic_count(p, range(1, max_degree + 1))
     values = sorted(_subsets.require_sum_distinct(terms, f" over F_{p}[t]"),
                     key=_sort_key)
-    max_value_degree = max(v.degree for v in values)
+    max_value_degree = values[-1].degree
+    sums = [v.coeffs for v in values]
+    k_prime = _strip_char(k, p)
     out: list[IrreducibleModulus] = []
     for d in range(1, max_degree + 1):
+        exponent = _subsets.residue_exponent(k_prime, p**d)
         for f in irreducibles_of_degree(p, d):
-            modulus = IrreducibleModulus._trusted(f)
+            ring = _subsets.Ring(_Modulus(f.coeffs, p), k, exponent, _powmod,
+                                 (1,), None, f"in F_{p}[t]")
             # sums of degree < d are their own distinct residues
-            if _subsets.modulus_defect(values, _ring(k, modulus),
+            if _subsets.modulus_defect(sums, ring,
                                        distinct=d <= max_value_degree) is None:
-                out.append(modulus)
+                out.append(IrreducibleModulus._trusted(f))
     return out

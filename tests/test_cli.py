@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -274,6 +275,20 @@ def test_term_cap_exits_2_naming_the_cap(capsys):
         assert out == ""
         assert "subset-sum cap of 24 terms" in err, argv
         assert "max_terms" not in err
+
+
+def test_oversized_ff_search_fields_exit_2_within_a_second(capsys):
+    # each would enumerate more monics than the cap, so it is refused before
+    # the sieve or the search starts
+    for argv in (("--char", "101", "--k", "2", "--tpowers", "3", "--max-degree", "3"),
+                 ("--char", "2", "--k", "3", "--tpowers", "3", "--max-degree", "30"),
+                 ("--char", "1000003", "--k", "2", "--tpowers", "2", "--max-degree", "2")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "ff-search", *argv, "--json")
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2, argv
+        assert out == ""
+        assert "enumeration cap of 65536 monics" in err, argv
 
 
 # ---------- determinism and report envelope ----------

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from powerchains import ffield
 from powerchains.chains import is_permutation_chain
 from powerchains.errors import InvalidCandidateError, SizeLimitError
 from powerchains.ffield import (
@@ -135,10 +136,10 @@ def test_is_irreducible_examples():
         is_irreducible(FFPoly.one(3))
 
 
-def test_is_irreducible_matches_trial_division():
-    # the trial-division enumeration against the Rabin criterion over every
-    # monic, in base-p value order
-    for p, top in ((2, 9), (3, 6), (5, 5)):
+def test_sieve_matches_rabin_on_every_monic():
+    # the sieve against the Rabin criterion over every monic, in base-p value
+    # order, on the fields and degrees the benchmark enumerates
+    for p, top in ((2, 12), (3, 7), (5, 6), (7, 4)):
         for d in range(1, top + 1):
             monics = [FFPoly(p, low[::-1] + (1,)) for low in product(range(p), repeat=d)]
             assert irreducibles_of_degree(p, d) == \
@@ -432,6 +433,99 @@ def test_find_chain_irreducibles_rejects_non_sum_distinct():
         find_chain_irreducibles([FFPoly.one(2), FFPoly.one(2)], 2, 2, 3)
     with pytest.raises(ValueError):
         find_chain_irreducibles(tpowers(3, 2), 2, 5, 3)  # wrong characteristic
+
+
+def _oracle_kth_powers(f, p, ks):
+    """({k: the kth powers of F_p[t]/(f)}, reduction mod f) for monic f
+    (lowest degree first), by schoolbook arithmetic on coefficient lists and
+    no library code.  ks is ascending from 1; each x^k is the product of two
+    earlier powers (an addition chain), not square-and-multiply."""
+    d = len(f) - 1
+
+    def reduce(c):
+        c = list(c) + [0] * max(d - len(c), 0)
+        for i in range(len(c) - 1, d - 1, -1):
+            q = c.pop() % p
+            for j in range(d):
+                c[i - d + j] -= q * f[j]
+        return tuple(x % p for x in c)
+
+    def mulmod(a, b):
+        c = [0] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    c[j] += x * y
+        return reduce(c)
+
+    # each k after the first as the sum of two earlier ones
+    chain, have = [], [1]
+    for k in ks[1:]:
+        a = max(a for a in have if k - a in have)
+        chain.append((k, a, k - a))
+        have.append(k)
+    powers = {k: set() for k in ks}
+    for x in product(range(p), repeat=d):
+        pw = {1: x}
+        for k, a, b in chain:
+            pw[k] = mulmod(pw[a], pw[b])
+        for k in ks:
+            powers[k].add(pw[k])
+    return powers, reduce
+
+
+def test_find_chain_irreducibles_matches_a_schoolbook_residue_oracle():
+    # every irreducible with a residue field of at most 343 elements,
+    # modulus by modulus: chain modulus iff E is distinct mod f and every
+    # element of E is a kth power, with E, the reduction and the kth powers
+    # all computed here on plain coefficient lists
+    rng = random.Random(31)
+    for p, top in ((2, 8), (3, 5), (5, 3), (7, 3)):
+        ks = sorted({1, 2, 3, 4, 6, p, 2 * p})
+        fields = [(f, *_oracle_kth_powers(f.coeffs, p, ks))
+                  for d in range(1, top + 1) for f in irreducibles_of_degree(p, d)]
+        checked = 0
+        while checked < 3:
+            m = rng.randrange(2, 5)
+            terms = [[rng.randrange(p) for _ in range(rng.randrange(4))] + [rng.randrange(1, p)]
+                     for _ in range(m)]
+            sums = []
+            for mask in range(1, 1 << m):
+                s = [0] * 4
+                for i, t in enumerate(terms):
+                    if mask >> i & 1:
+                        s = [(a + b) % p for a, b in zip(s, t + [0] * (4 - len(t)))]
+                sums.append(tuple(s))
+            if len(set(sums)) < len(sums):
+                continue  # not sum-distinct: draw again
+            checked += 1
+            r = [FFPoly(p, tuple(t)) for t in terms]
+            found = {k: {mod.f for mod in find_chain_irreducibles(r, k, p, top)} for k in ks}
+            for f, powers, reduce in fields:
+                residues = [reduce(s) for s in sums]
+                distinct = len(set(residues)) == len(residues)
+                for k in ks:
+                    expected = distinct and all(a in powers[k] for a in residues)
+                    assert (f in found[k]) == expected, (p, terms, k, f)
+
+
+def test_enumeration_beyond_the_monic_cap_fails_before_any_work(monkeypatch):
+    # the fields the CLI refuses, at the real cap, each in well under a second
+    for p, d in ((2, 17), (257, 2), (2, 10**9), (1000003, 2)):
+        with pytest.raises(SizeLimitError, match="enumeration cap of 65536 monics"):
+            irreducibles_of_degree(p, d)
+    for p, top in ((2, 16), (101, 3), (2, 10**9), (1000003, 2)):
+        with pytest.raises(SizeLimitError, match=f"degree 1..{top} over F_{p} number"):
+            find_chain_irreducibles(tpowers(p, 2), 2, p, top)
+    # the boundary, on a smaller cap: the sieve takes p^d monics, the search
+    # the monics of every degree up to its bound (2 + 4 + ... + 2^d)
+    monkeypatch.setattr(ffield, "MAX_MONICS", 64)
+    assert len(irreducibles_of_degree(2, 6)) == necklace_count(2, 6)
+    with pytest.raises(SizeLimitError, match="degree 7 over F_2 number"):
+        irreducibles_of_degree(2, 7)
+    assert find_chain_irreducibles(tpowers(2, 2), 1, 2, 5)
+    with pytest.raises(SizeLimitError, match="degree 1..6 over F_2 number"):
+        find_chain_irreducibles(tpowers(2, 2), 1, 2, 6)
 
 
 # ---------- text format ----------
