@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import TYPE_CHECKING
 
 from powerchains.errors import OverflowLimitError
@@ -36,10 +36,14 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _TINY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 TRIAL_DIVISION_LIMIT = 10**6
+_BLOCK_PRIMES = 128  # primes per block product: one gcd tests the whole block
+_CHUNK_VALUES = 256  # values per product in _prime_divisors; one product of all is quadratic
 _SEGMENT_ODDS = 1 << 20  # odd slots per sieve segment; cache-resident bitset
 
-# every prime <= _small_prime_bound, grown on demand by factor()
+# every prime <= _small_prime_bound, grown on demand by trial division, and
+# the products of its consecutive blocks of _BLOCK_PRIMES primes
 _small_prime_cache: list[int] = []
+_small_prime_products: list[int] = []
 _small_prime_bound = 1
 
 
@@ -166,17 +170,46 @@ def _sieve(limit: int) -> list[int]:
     return [2, *compress(range(1, limit + 1, 2), mask)]
 
 
-def _small_primes(bound: int) -> list[int]:
-    """A list that starts with every prime <= bound (<= TRIAL_DIVISION_LIMIT).
+def _small_primes(bound: int) -> tuple[list[int], list[int]]:
+    """(primes, products): a list that starts with every prime <= bound
+    (<= TRIAL_DIVISION_LIMIT), and the products of its consecutive blocks of
+    _BLOCK_PRIMES primes.
 
-    The cache grows at least twofold when it must grow, so a run of
+    Both grow together, at least twofold when they must grow, so a run of
     factorizations of increasing size re-sieves only O(log) times.
     """
-    global _small_prime_cache, _small_prime_bound
+    global _small_prime_cache, _small_prime_products, _small_prime_bound
     if bound > _small_prime_bound:
         _small_prime_bound = min(TRIAL_DIVISION_LIMIT, max(bound, 2 * _small_prime_bound))
         _small_prime_cache = _sieve(_small_prime_bound)
-    return _small_prime_cache
+        _small_prime_products = [prod(_small_prime_cache[i:i + _BLOCK_PRIMES])
+                                 for i in range(0, len(_small_prime_cache), _BLOCK_PRIMES)]
+    return _small_prime_cache, _small_prime_products
+
+
+def _block_divisors(n: int, bound: int):
+    """Yield (first, divisors) for each block of _BLOCK_PRIMES consecutive
+    primes whose first prime is at most min(bound, TRIAL_DIVISION_LIMIT):
+    `first` is that prime and `divisors` lists, ascending, the block's primes
+    that divide n.  Together the blocks hold every prime up to that bound.
+
+    One gcd of n with the block's product tests a whole block; its primes
+    are tried one by one only when that gcd exceeds 1, and only until they
+    account for it.
+    """
+    primes, products = _small_primes(min(bound, TRIAL_DIVISION_LIMIT))
+    for start, product in zip(range(0, len(primes), _BLOCK_PRIMES), products):
+        if primes[start] > bound:
+            return
+        g = gcd(n, product)  # the product of the block's primes dividing n
+        divisors = []
+        for p in primes[start:start + _BLOCK_PRIMES] if g > 1 else ():
+            if g % p == 0:
+                divisors.append(p)
+                g //= p
+                if g == 1:
+                    break
+        yield primes[start], divisors
 
 
 def _pollard_brent(n: int) -> int:
@@ -210,10 +243,31 @@ def _pollard_brent(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")  # not reached at desk scale
 
 
+def _split(n: int) -> list[int]:
+    """The prime factors, with multiplicity, of n >= 1 that has no prime
+    factor up to min(sqrt(n), TRIAL_DIVISION_LIMIT): below 10^12, n is 1 or
+    a prime; above, Pollard-Brent rho splits what is not prime."""
+    if n < TRIAL_DIVISION_LIMIT**2:
+        return [n] if n > 1 else []
+    out, stack = [], [n]
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            out.append(m)
+            continue
+        r = isqrt(m)
+        if r * r == m:
+            stack.extend((r, r))
+            continue
+        d = _pollard_brent(m)
+        stack.extend((d, m // d))
+    return out
+
+
 def factor(n: int) -> Factorization:
     """Complete signed prime factorization.
 
-    Trial division by the primes up to min(sqrt(|n|), 10^6), then
+    Trial division by blocks of the primes up to min(sqrt(|n|), 10^6), then
     Pollard-Brent rho on whatever remains.  Raises ValueError for n = 0 and
     OverflowLimitError beyond the supported width.
     """
@@ -224,29 +278,50 @@ def factor(n: int) -> Factorization:
     if n < 0:
         sign, n = -1, -n
     found: dict[int, int] = {}
-    for p in _small_primes(min(isqrt(n), TRIAL_DIVISION_LIMIT)):
-        if p * p > n:
-            break
-        while n % p == 0:
-            found[p] = found.get(p, 0) + 1
-            n //= p
-    if 1 < n < TRIAL_DIVISION_LIMIT**2:
-        # survived trial division below 10^6, so it is prime
-        found[n] = found.get(n, 0) + 1
-        n = 1
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if is_prime(m):
-            found[m] = found.get(m, 0) + 1
-            continue
-        r = isqrt(m)
-        if r * r == m:
-            stack.extend((r, r))
-            continue
-        d = _pollard_brent(m)
-        stack.extend((d, m // d))
+    for first, divisors in _block_divisors(n, isqrt(n)):
+        if first * first > n:
+            break  # n has no prime factor below first, so it is 1 or prime
+        for p in divisors:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            found[p] = e
+    for q in _split(n):
+        found[q] = found.get(q, 0) + 1
     return Factorization(sign, tuple(sorted(found.items())))
+
+
+def _prime_divisors(values: list[int], limit: int | None) -> set[int]:
+    """The primes, at most `limit` when it is given, that divide some
+    element of `values`, an ascending list of positive integers.
+
+    Trial division runs on the product of each chunk of _CHUNK_VALUES
+    values (chunk by chunk, so that no product grows long), by blocks of the
+    primes up to the square root of the chunk's largest value or up to the
+    limit, whichever is smaller.  Each value is then stripped, by gcds, of
+    the primes its chunk found, and what remains has only larger prime
+    factors.  When the trial division covered the limit, that remainder is
+    skipped; otherwise it is 1 or a prime below 10^12, and Pollard rho
+    splits a larger composite.
+    """
+    primes: set[int] = set()
+    for i in range(0, len(values), _CHUNK_VALUES):
+        chunk = values[i:i + _CHUNK_VALUES]
+        bound = isqrt(chunk[-1]) if limit is None else min(isqrt(chunk[-1]), limit)
+        small = [p for _, divisors in _block_divisors(prod(chunk), bound)
+                 for p in divisors]
+        primes.update(small)
+        if limit is not None and limit <= min(bound, TRIAL_DIVISION_LIMIT):
+            continue  # every prime factor of a remainder exceeds the limit
+        strip = prod(small)
+        for d in chunk:
+            g = gcd(d, strip)
+            while g > 1:
+                d //= g
+                g = gcd(d, g)
+            primes.update(_split(d))
+    return primes if limit is None else {p for p in primes if p <= limit}
 
 
 def euler_phi(n: int) -> int:

@@ -179,18 +179,40 @@ class ExceptionalPrimeSet:
         return len(self.primes)
 
 
-def exceptional_primes(r) -> ExceptionalPrimeSet:
-    """Union of the prime factors of all pairwise differences of subset sums.
+def _differences(terms) -> list[int]:
+    """The differences of two elements of E, ascending.
+
+    They are the values |sum eps_i r_i| for eps in {-1, 0, 1}^m other than
+    eps = 0, taken once per pair +/-eps: the sums whose last nonzero eps_i
+    is +1, (3^m - 1)/2 of them.  eps = (1, ..., 1), the full sum, is a
+    difference only if some other eps gives the same value.  Requires a
+    sum-distinct candidate, on which no other eps gives 0.
+    """
+    signed, leading = [0], []  # all signed sums of the terms so far; the +1-led ones
+    for r in terms[:-1]:
+        plus = [v + r for v in signed]
+        leading += plus
+        signed += plus + [v - r for v in signed]
+    leading += [v + terms[-1] for v in signed]
+    diffs = {abs(v) for v in leading}
+    full = sum(terms)  # from eps = (1, ..., 1); 0 is never a difference
+    if full == 0 or leading.count(full) + leading.count(-full) == 1:
+        diffs.discard(abs(full))
+    return sorted(diffs)
+
+
+def exceptional_primes(r, *, limit: int | None = None) -> ExceptionalPrimeSet:
+    """Union of the prime factors of all pairwise differences of subset
+    sums; with `limit`, only those primes at most the limit.
 
     Requires a sum-distinct candidate (otherwise a difference is 0 and the
-    set is ill-defined).  Quadratic in |E|, intended for small m.
+    set is ill-defined).  The (3^m - 1)/2 signed sums stand in for the
+    |E|^2/2 pairs, and one batch trial division serves all of them.  A limit
+    up to 10^6 settles every prime by trial division, with no Pollard rho.
     """
-    values = sorted(_subsets.require_sum_distinct(_terms(r)))
-    diffs = {values[j] - values[i]
-             for i in range(len(values)) for j in range(i + 1, len(values))}
-    primes: set[int] = set()
-    for d in diffs:
-        primes.update(p for p, _ in arith.factor(d).factors)
+    terms = _terms(r)
+    _subsets.require_sum_distinct(terms)
+    primes = arith._prime_divisors(_differences(terms), limit)
     return ExceptionalPrimeSet(tuple(sorted(primes)))
 
 

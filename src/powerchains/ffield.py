@@ -399,21 +399,24 @@ def is_irreducible(f: FFPoly) -> bool:
     """Irreducibility over F_p for nonconstant f (constants raise).
 
     Rabin's criterion: t^(p^d) = t (mod f), and gcd(t^(p^(d/l)) - t, f) = 1
-    for every prime l dividing d.  Unit scaling is irrelevant, so non-monic
-    input is normalized first.
+    for every prime l dividing d.  The powers t^(p^i) come one Frobenius
+    step x -> x^p at a time, and each gcd runs as soon as its power is
+    known, so an f with a factor whose degree divides some d/l fails before
+    the last step.  Unit scaling is irrelevant, so non-monic input is
+    normalized first.
     """
     if f.degree < 1:
         raise ValueError("irreducibility is only defined for degree >= 1")
     f = f.monic()
     p, d = f.p, f.degree
     t = FFPoly.gen(p)
-    if powmod(t, p**d, f) != t % f:
-        return False
-    for ell in {q for q, _ in arith.factor(d).factors}:
-        g = poly_gcd(powmod(t, p ** (d // ell), f) - t, f)
-        if g.degree > 0:
+    gcd_steps = {d // ell for ell, _ in arith.factor(d).factors}
+    x = t % f
+    for i in range(1, d + 1):
+        x = powmod(x, p, f)
+        if i in gcd_steps and poly_gcd(x - t, f).degree > 0:
             return False
-    return True
+    return x == t % f
 
 
 def _check_monic_count(p: int, degrees: range) -> None:

@@ -21,6 +21,11 @@ For k = 2 the bound is exact: a is a square mod p iff p splits in Q(sqrt a),
 so chain primes for k = 2 are exactly the split-completely primes outside the
 finite exceptional set.  For k > 2 classes may collapse over the cyclotomic
 field, which is why the predicted value is reported as a lower bound.
+
+The exceptional set is the primes dividing a difference of two elements of
+E, where E can collide mod p.  A density report lists only those up to its
+limit, and asks `chains.exceptional_primes` for just those: up to 10^6 they
+come from trial division alone, with no Pollard rho.
 """
 
 from __future__ import annotations
@@ -189,14 +194,15 @@ def density_counts_in_range(r, k: int, lo: int, hi: int) -> tuple[int, int]:
 def density_report_from_counts(r, k: int, limit: int, total: int,
                                hits: int) -> DensityReport:
     """Assemble a DensityReport from externally accumulated counts over the
-    primes in [2, limit]."""
+    primes in [2, limit].  Its exceptional primes are those up to the limit,
+    from `chains.exceptional_primes(r, limit=limit)`."""
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
     terms = chains._terms(r)
     sd, values = _subsets.sum_distinct(terms)
     predicted = predicted_density(values, k)
     if sd:
-        exceptional = tuple(p for p in chains.exceptional_primes(terms) if p <= limit)
+        exceptional = tuple(chains.exceptional_primes(terms, limit=limit))
     else:
         exceptional = ()
     empirical = Fraction(hits, total) if total else Fraction(0)

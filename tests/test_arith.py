@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import random
 import subprocess
@@ -148,6 +149,36 @@ def test_factor_in_a_fresh_process_grows_its_primes_as_needed():
     for n, got in zip(ns, json.loads(out)):
         assert Factorization(1, tuple(map(tuple, got))).value() == n
         assert all(is_prime(p) for p, _ in got), n
+
+
+def test_factor_matches_sympy_in_a_fresh_process():
+    # sympy.factorint is a test-only oracle.  factor() trial-divides by
+    # blocks of 128 consecutive primes (one gcd with each block's product),
+    # so the inputs are the squares and products of the primes on both sides
+    # of every block edge, of 999,983 and of 1,000,003, in increasing order,
+    # and then random n of 2-81 bits.  Each side runs in a child interpreter:
+    # a fresh one makes the blocks and their products grow from empty, and
+    # sympy (about 37 MB) stays out of this process, whose peak RSS the
+    # children of later tests inherit.
+    if importlib.util.find_spec("sympy") is None:
+        pytest.skip("sympy is not installed")
+    primes = primes_up_to(1_000_100).tolist()
+    pairs = [(primes[i - 1], primes[i]) for i in range(128, len(primes), 128)]
+    pairs += [(999979, 999983), (999983, 1000003), (1000003, 1000033)]
+    ns = sorted({n for p, q in pairs for n in (p * p, p * q, q * q)})
+    rng = random.Random(81)
+    ns += [rng.randrange(2 ** (b - 1), 2**b) for b in range(2, 82) for _ in range(3)]
+
+    def factorizations(setup, expr):
+        script = (f"import json, sys\n{setup}\n"
+                  f"print(json.dumps([{expr} for n in json.loads(sys.argv[1])]))")
+        return json.loads(subprocess.run([sys.executable, "-c", script, json.dumps(ns)],
+                                         capture_output=True, text=True, check=True).stdout)
+
+    got = factorizations("from powerchains.arith import factor", "factor(n).factors")
+    want = factorizations("from sympy import factorint", "sorted(factorint(n).items())")
+    for n, g, w in zip(ns, got, want, strict=True):
+        assert g == w, n
 
 
 def test_factor_large_semiprime_and_powers():

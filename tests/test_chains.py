@@ -278,6 +278,103 @@ def test_exceptional_primes_are_exactly_the_colliding_ones():
             assert (p in exc) == collides, (seq, p)
 
 
+def prime_factors_by_trial_division(n):
+    out, p = set(), 2
+    while p * p <= n:
+        while n % p == 0:
+            out.add(p)
+            n //= p
+        p += 1
+    return out | ({n} if n > 1 else set())
+
+
+def test_exceptional_primes_match_the_pair_differences():
+    # the signed sums that stand in for the pairs of E: the full sum
+    # r_1 + ... + r_m is a difference only when some other signed sum gives
+    # it too, which 5 does not for [5] and 7 does not for [1, 6]
+    assert tuple(exceptional_primes([5])) == ()
+    assert tuple(exceptional_primes([1, 6])) == (2, 3, 5)
+    rng = random.Random(15)
+    cases = 0
+    while cases < 80:
+        m = rng.randint(1, 6)
+        bits = rng.choice((3, 6, 12))
+        terms = [rng.randrange(-2**bits, 2**bits) or 1 for _ in range(m)]
+        if not is_sum_distinct(terms):
+            continue
+        cases += 1
+        values = sorted(subset_sums(terms).values)
+        diffs = {b - a for i, a in enumerate(values) for b in values[i + 1:]}
+        want = set().union(*map(prime_factors_by_trial_division, diffs))
+        assert list(exceptional_primes(terms)) == sorted(want), terms
+
+
+def colliding_primes(values, limit):
+    """Definition-level oracle: the primes p <= limit at which the integers
+    `values` are not pairwise distinct mod p, by sorting their residues for
+    slices of primes.  In int64: the values are shifted to be nonnegative
+    and split at 2^34, and every p < 2^24."""
+    import numpy as np
+
+    assert limit < 2**24
+    shifted = [v - min(values) for v in values]
+    hi = np.array([v >> 34 for v in shifted], dtype=np.int64)
+    lo = np.array([v & (2**34 - 1) for v in shifted], dtype=np.int64)
+    primes = arith.primes_up_to(limit)
+    out = []
+    for i in range(0, len(primes), 2**13):
+        p = primes[i:i + 2**13, None]  # one row of residues per prime
+        residues = ((hi % p) * ((1 << 34) % p) % p + lo) % p
+        residues.sort(axis=1)
+        collide = (residues[:, 1:] == residues[:, :-1]).any(axis=1)
+        out += p[collide, 0].tolist()
+    return out
+
+
+def test_density_exceptional_set_is_the_colliding_primes():
+    # density's exceptional_excluded against the definition: the primes
+    # p <= limit at which E is not distinct mod p.  Short terms put some
+    # limits above the spread; 64-bit terms put 10^6 and 10^7 far below it
+    # (10^7 on 5 and 6 terms: the oracle on 7 terms takes seconds there).
+    # The set does not depend on k, and k = 1 leaves the class group, which
+    # factors E in full, out of the run.
+    rng = random.Random(1015)
+    for bits, m, top in ((10, 5, 10**6), (10, 6, 10**6), (10, 7, 10**6),
+                         (64, 5, 10**7), (64, 6, 10**7), (64, 7, 10**6)):
+        terms = [rng.randrange(-2**bits, 2**bits) or 1 for _ in range(m)]
+        while not is_sum_distinct(terms):
+            terms = [rng.randrange(-2**bits, 2**bits) or 1 for _ in range(m)]
+        values = sorted(subset_sums(terms).values)
+        spread = values[-1] - values[0]
+        limits = [2, rng.randrange(3, 10**6), 10**6, top]
+        if spread < 10**6:
+            limits += [spread // 3, spread, spread + 1]
+        colliding = colliding_primes(values, max(limits))
+        for limit in limits:
+            report = density_report_from_counts(terms, 1, limit, 0, 0)
+            assert list(report.exceptional_excluded) == \
+                [p for p in colliding if p <= limit], (terms, limit)
+
+
+def test_density_exceptional_set_to_1e6_never_reaches_rho(monkeypatch):
+    # below the trial-division limit every prime factor up to the limit is
+    # found by trial division, so the rest of each difference is skipped;
+    # without a limit these 64-bit terms need Pollard rho
+    terms = [18320619364259767899, 11717523461425187789, 16634421112142485623,
+             14354688614938133244, 13440339019501979729, 12112332291204175170]
+    full = tuple(exceptional_primes(terms))
+
+    def no_rho(n):
+        raise AssertionError(f"Pollard rho reached on {n}")
+
+    monkeypatch.setattr(arith, "_pollard_brent", no_rho)
+    with pytest.raises(AssertionError, match="rho"):
+        exceptional_primes(terms)
+    for limit in (2, 1000, 999_983, 10**6):
+        report = density_report_from_counts(terms, 1, limit, 0, 0)
+        assert report.exceptional_excluded == tuple(p for p in full if p <= limit)
+
+
 # ---------- prime search ----------
 
 def test_find_chain_primes_trivial_candidate():
