@@ -21,7 +21,6 @@ from powerchains.chains import (
     CandidateSequence,
     ChainFailure,
     ChainVerdict,
-    ExceptionalPrimeSet,
     SumDistinctResult,
     SumSet,
     exceptional_primes,

@@ -281,28 +281,23 @@ def cyclic_failure(terms, ring: Ring) -> ChainFailure | None:
     return None
 
 
-def modulus_defect(values, ring: Ring, distinct: bool = True):
+def modulus_defect(values, ring: Ring):
     """The per-modulus test: is E distinct mod m with every element a residue?
 
     `values` is E in sort-key order.  Returns None when both hold, else
     ("collision", (earlier, s)) for the first s congruent to an earlier value,
     or ("non_residue", (s,)) for the first non-residue; collisions are looked
-    for first.  distinct=False skips the collision pass, for callers that know
-    E injects into the residue ring.
+    for first.
     """
     m = ring.modulus
-    if distinct:
-        reduced: dict = {}
-        for s in values:
-            a = s % m
-            if a in reduced:
-                return "collision", (reduced[a], s)
-            reduced[a] = s
-        pairs = reduced.items()
-    else:
-        pairs = ((s % m, s) for s in values)
+    reduced: dict = {}
+    for s in values:
+        a = s % m
+        if a in reduced:
+            return "collision", (reduced[a], s)
+        reduced[a] = s
     if ring.exponent is not None:
-        for a, s in pairs:
+        for a, s in reduced.items():
             if not ring.is_residue(a):
                 return "non_residue", (s,)
     return None
@@ -328,31 +323,20 @@ def permutation_failure(terms, ring: Ring) -> ChainFailure | None:
     return ChainFailure("permutation", kind, found, desc)
 
 
-def verdict(terms, ring: Ring, debug: bool) -> ChainVerdict:
+def verdict(terms, ring: Ring) -> ChainVerdict:
     """Full verdict; failure_witness describes the first violated sum of the
-    weakest failing level.  debug=True cross-checks the permutation level
-    against the all-orderings verifier (m <= 6 only)."""
+    weakest failing level."""
     check_term_cap(len(terms))
     chain_fail = window_failure(terms, ring, "chain")
     cyclic_fail = chain_fail if chain_fail is not None else cyclic_failure(terms, ring)
     perm_fail = (cyclic_fail if cyclic_fail is not None
                  else permutation_failure(terms, ring))
-    result = ChainVerdict(
+    return ChainVerdict(
         is_chain=chain_fail is None,
         is_cyclic=cyclic_fail is None,
         is_permutation=perm_fail is None,
         failure_witness=perm_fail,
     )
-    if debug:
-        if len(terms) > 6:
-            raise ValueError("debug cross-check is limited to m <= 6")
-        naive = naive_permutation_chain(terms, ring)
-        if naive != result.is_permutation:
-            raise AssertionError(
-                f"subset-based verdict {result.is_permutation} disagrees with "
-                f"all-permutations verdict {naive} for {terms}, k={ring.k}, "
-                f"modulus {ring.modulus!r}")
-    return result
 
 
 def naive_permutation_chain(terms, ring: Ring) -> bool:

@@ -20,6 +20,7 @@ from itertools import compress
 from math import gcd, isqrt, prod
 from typing import TYPE_CHECKING
 
+from powerchains import _subsets
 from powerchains.errors import OverflowLimitError
 
 if TYPE_CHECKING:
@@ -127,12 +128,7 @@ class PrimeModulus:
 
 def _as_prime(p) -> int:
     """Accept an int (validated) or a PrimeModulus (trusted)."""
-    if isinstance(p, PrimeModulus):
-        return p.p
-    p = int(p)
-    if p < 2 or not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
-    return p
+    return (p if isinstance(p, PrimeModulus) else PrimeModulus(int(p))).p
 
 
 @dataclass(frozen=True)
@@ -399,12 +395,9 @@ def is_kth_residue(a: int, k: int, p) -> bool:
     criterion applies with the exponent reduced by d = gcd(k, p-1):
     a is a kth residue iff a^((p-1)/d) = 1 (mod p).
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _subsets.check_k(k)
     p = _as_prime(p)
     _check_width(a, "residue candidate")
     a %= p
-    if a == 0:
-        return True
-    d = gcd(k, p - 1)
-    return pow(a, (p - 1) // d, p) == 1
+    e = _subsets.residue_exponent(k, p)
+    return a == 0 or e is None or pow(a, e, p) == 1

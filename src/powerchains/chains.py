@@ -50,7 +50,6 @@ __all__ = [
     "CandidateSequence",
     "SumSet",
     "SumDistinctResult",
-    "ExceptionalPrimeSet",
     "ChainFailure",
     "ChainVerdict",
     "subset_sums",
@@ -141,42 +140,25 @@ def is_cyclic_chain(r, k: int, p) -> bool:
     return _subsets.cyclic_failure(terms, _ring(k, p)) is None
 
 
-def is_permutation_chain(r, k: int, p, *, debug: bool = False) -> ChainVerdict:
+def is_permutation_chain(r, k: int, p) -> ChainVerdict:
     """Full verdict for r mod p: chain, cyclic chain, permutation chain.
 
     The permutation level is decided over the subset-sum set E in O(2^m)
-    rather than over the m! orderings.  With debug=True the result is
-    cross-checked against the literal all-permutations verifier (m <= 6 only).
+    rather than over the m! orderings; `naive_permutation_chain` is the
+    literal all-orderings check.
 
     failure_witness describes the first violated sum of the weakest failing
     level.
     """
     terms = _terms(r)
-    return _subsets.verdict(terms, _ring(k, p), debug)
+    return _subsets.verdict(terms, _ring(k, p))
 
 
 def naive_permutation_chain(r, k: int, p) -> bool:
     """Literal definition: every ordering of r is a chain mod p.  m! work;
-    reference implementation for tests and debug cross-checks, m <= 8."""
+    reference implementation for tests, m <= 8."""
     terms = _terms(r)
     return _subsets.naive_permutation_chain(terms, _ring(k, p))
-
-
-@dataclass(frozen=True)
-class ExceptionalPrimeSet:
-    """Primes dividing some difference of two distinct subset sums; only at
-    these primes can elements of E collide mod p."""
-
-    primes: tuple[int, ...]
-
-    def __contains__(self, p):
-        return p in self.primes
-
-    def __iter__(self):
-        return iter(self.primes)
-
-    def __len__(self):
-        return len(self.primes)
 
 
 def _differences(terms) -> list[int]:
@@ -201,9 +183,10 @@ def _differences(terms) -> list[int]:
     return sorted(diffs)
 
 
-def exceptional_primes(r, *, limit: int | None = None) -> ExceptionalPrimeSet:
-    """Union of the prime factors of all pairwise differences of subset
-    sums; with `limit`, only those primes at most the limit.
+def exceptional_primes(r, *, limit: int | None = None) -> tuple[int, ...]:
+    """The primes dividing some difference of two distinct subset sums,
+    ascending; with `limit`, only those primes at most the limit.  Only at
+    these primes can elements of E collide mod p.
 
     Requires a sum-distinct candidate (otherwise a difference is 0 and the
     set is ill-defined).  The (3^m - 1)/2 signed sums stand in for the
@@ -213,7 +196,7 @@ def exceptional_primes(r, *, limit: int | None = None) -> ExceptionalPrimeSet:
     terms = _terms(r)
     _subsets.require_sum_distinct(terms)
     primes = arith._prime_divisors(_differences(terms), limit)
-    return ExceptionalPrimeSet(tuple(sorted(primes)))
+    return tuple(sorted(primes))
 
 
 _SLICE = 1 << 15          # primes per residue-filter slice; bounds its temporaries

@@ -17,13 +17,14 @@ fields, in declaration order, are the config that every output echoes.
 
 Exit codes: 0 affirmative result (chain verified, primes found, hits > 0),
 1 negative mathematical result (not a chain, nothing found, candidate not
-sum-distinct), 2 malformed input or usage error.
+sum-distinct), 2 malformed input, usage error or memory exhaustion.
 
 Output is table (default), json, or csv (csv only for prime/modulus lists
 and density rows, fields quoted per RFC 4180).  JSON is byte-identical across
 runs and worker counts for a fixed config and version; wall-clock timing
-therefore goes to stderr only.  The POWERCHAINS_WORKERS environment variable
-sets the default worker count for search and density (otherwise all cores).
+therefore goes to stderr only.  Search and density run on all cores unless
+--workers says otherwise.  Exact rationals print in full, however many
+digits they have.
 """
 
 from __future__ import annotations
@@ -39,11 +40,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from powerchains import __version__, arith, chains, ffield, kummer
+from powerchains import __version__, _subsets, arith, chains, ffield, kummer
 from powerchains.errors import InvalidCandidateError
 
 SCHEMA_VERSION = 1
-WORKERS_ENV_VAR = "POWERCHAINS_WORKERS"
 _SERIAL_LIMIT = 10**4  # search and density below this limit run in one process
 
 TABLE, JSON, CSV = "table", "json", "csv"
@@ -193,8 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     workers = argparse.ArgumentParser(add_help=False)
     workers.add_argument("--workers", type=int, default=None,
-                         help=f"parallel workers (default: ${WORKERS_ENV_VAR} "
-                              f"or all cores)")
+                         help="parallel workers (default: all cores)")
 
     p = sub.add_parser("verify", parents=[fmt, intseq, k],
                        help="chain verdict for one prime modulus")
@@ -225,19 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_workers() -> int:
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        try:
-            w = int(env)
-        except ValueError:
-            raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}")
-        if w < 1:
-            raise ValueError(f"{WORKERS_ENV_VAR} must be >= 1, got {w}")
-        return w
-    return os.cpu_count() or 1
-
-
 def _build_config(ns: argparse.Namespace) -> RunConfig:
     fmt = JSON if ns.json else ns.format
     if fmt == CSV and COMMANDS[ns.command][1] is None:
@@ -246,13 +232,12 @@ def _build_config(ns: argparse.Namespace) -> RunConfig:
     polynomial = hasattr(ns, "char")
     cfg = RunConfig(ns.command, "polynomial" if polynomial else "integers", fmt)
     if hasattr(ns, "workers"):
-        cfg.workers = ns.workers if ns.workers is not None else _default_workers()
+        cfg.workers = ns.workers if ns.workers is not None else os.cpu_count() or 1
         if cfg.workers < 1:
             raise ValueError(f"--workers must be >= 1, got {cfg.workers}")
 
     if hasattr(ns, "k"):
-        if ns.k < 1:
-            raise ValueError(f"k must be >= 1, got {ns.k}")
+        _subsets.check_k(ns.k)
         cfg.k = ns.k
 
     if not polynomial:
@@ -477,19 +462,25 @@ def render(cfg: RunConfig, result: dict) -> str:
 
 def main(argv=None) -> int:
     ns = _build_parser().parse_args(argv)
+    digits = sys.get_int_max_str_digits()
     try:
         cfg = _build_config(ns)
+        sys.set_int_max_str_digits(0)  # an exact density may pass 4,300 digits
         start = time.monotonic()
         try:
             result, code = COMMANDS[cfg.command][0](cfg)
         except InvalidCandidateError as e:  # the command needs a sum-distinct candidate
             result, code = {"error": "invalid-candidate", "message": str(e)}, 1
+        duration = time.monotonic() - start
+        sys.stdout.write(render(cfg, result))
     except (ValueError, OverflowError) as e:
         print(f"powerchains: error: {e}", file=sys.stderr)
         return 2
-    duration = time.monotonic() - start
-
-    sys.stdout.write(render(cfg, result))
+    except MemoryError:
+        print("powerchains: error: out of memory", file=sys.stderr)
+        return 2
+    finally:
+        sys.set_int_max_str_digits(digits)
     print(f"powerchains {cfg.command}: completed in {duration:.3f}s",
           file=sys.stderr)
     return code

@@ -587,12 +587,12 @@ def ff_is_cyclic_chain(r, k: int, f) -> bool:
     return _subsets.cyclic_failure(terms, _ring(k, f)) is None
 
 
-def ff_is_permutation_chain(r, k: int, f, *, debug: bool = False) -> ChainVerdict:
+def ff_is_permutation_chain(r, k: int, f) -> ChainVerdict:
     """Chain / cyclic / permutation verdict mod an irreducible f: the
     permutation level is exact sum-distinctness in F_p[t] plus distinctness
     and residueness of the subset sums mod f."""
     terms = _ff_terms(r)
-    return _subsets.verdict(terms, _ring(k, f), debug)
+    return _subsets.verdict(terms, _ring(k, f))
 
 
 def naive_ff_permutation_chain(r, k: int, f) -> bool:
@@ -619,7 +619,6 @@ def find_chain_irreducibles(r, k: int, p: int, max_degree: int) -> list[Irreduci
     _check_monic_count(p, range(1, max_degree + 1))
     values = sorted(_subsets.require_sum_distinct(terms, f" over F_{p}[t]"),
                     key=_sort_key)
-    max_value_degree = values[-1].degree
     sums = [v.coeffs for v in values]
     k_prime = _strip_char(k, p)
     out: list[IrreducibleModulus] = []
@@ -628,8 +627,6 @@ def find_chain_irreducibles(r, k: int, p: int, max_degree: int) -> list[Irreduci
         for f in irreducibles_of_degree(p, d):
             ring = _subsets.Ring(_Modulus(f.coeffs, p), k, exponent, _powmod,
                                  (1,), None, f"in F_{p}[t]")
-            # sums of degree < d are their own distinct residues
-            if _subsets.modulus_defect(sums, ring,
-                                       distinct=d <= max_value_degree) is None:
+            if _subsets.modulus_defect(sums, ring) is None:
                 out.append(IrreducibleModulus._trusted(f))
     return out

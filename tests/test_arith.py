@@ -219,14 +219,16 @@ def test_prime_counts_at_known_checkpoints():
     assert len(primes_up_to(10**7)) == 664579
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
 def test_first_blocks_of_a_huge_range_need_few_base_primes():
     # the sieve grows its base primes with the segment it is on, so a search
-    # to 10^16 that stops at its first hit never sieves up to 10^8
-    script = ("import resource\n"
-              "from powerchains.chains import find_chain_primes\n"
+    # to 10^16 that stops at its first hit never sieves up to 10^8.  The peak
+    # is the child's own VmHWM: ru_maxrss would inherit pytest's peak, which
+    # depends on the tests that ran before.
+    script = ("from powerchains.chains import find_chain_primes\n"
               "assert find_chain_primes([1, 2, 4], 2, 10**16, max_count=1) == [311]\n"
-              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+              "with open('/proc/self/status') as f:\n"
+              "    print(next(l.split()[1] for l in f if l.startswith('VmHWM:')))")
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert int(out) < 100 * 1024  # KiB; the base primes up to 10^8 alone take ~300 MB

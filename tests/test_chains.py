@@ -163,8 +163,15 @@ def test_permutation_chain_at_first_found_prime():
     # 311 is the first prime with 1..7 all squares (independent sweep oracle)
     sq = kth_powers_mod(311, 2)
     assert all(c in sq for c in range(1, 8))
-    v = is_permutation_chain([1, 2, 4], 2, 311, debug=True)
+    v = is_permutation_chain([1, 2, 4], 2, 311)
     assert v.is_permutation and v.is_cyclic and v.is_chain
+    assert v.is_permutation == naive_permutation_chain([1, 2, 4], 2, 311)
+
+
+def test_naive_verifier_refuses_more_than_8_terms():
+    # m! orderings: the literal oracle stops at 8 terms, before any work
+    with pytest.raises(ValueError, match="m <= 8"):
+        naive_permutation_chain(vegh_sequence(9, 2), 2, 11)
 
 
 def test_non_sum_distinct_is_never_a_permutation_chain():
@@ -234,17 +241,12 @@ def test_k1_degeneracy():
         assert is_permutation_chain(seq, 1, p).is_permutation == distinct
 
 
-def test_debug_mode_guard():
-    with pytest.raises(ValueError):
-        is_permutation_chain([1, 2, 4, 8, 16, 32, 64], 2, 11, debug=True)
-
-
 # ---------- exceptional primes ----------
 
 def test_exceptional_primes_examples():
-    assert tuple(exceptional_primes([1, 2, 4])) == (2, 3, 5)
-    assert tuple(exceptional_primes([5])) == ()
-    assert tuple(exceptional_primes([1, 3])) == (2, 3)
+    assert exceptional_primes([1, 2, 4]) == (2, 3, 5)
+    assert exceptional_primes([5]) == ()
+    assert exceptional_primes([1, 3]) == (2, 3)
 
 
 def test_exceptional_primes_requires_sum_distinct():

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -376,13 +377,43 @@ def test_density_limit_below_two_exits_2(capsys):
         assert "limit must be >= 2" in err
 
 
-def test_workers_env_var_default(capsys, monkeypatch):
-    monkeypatch.setenv("POWERCHAINS_WORKERS", "2")
-    _, payload = run_json(capsys, "search", "--k", "2", "--seq", "1",
-                          "--limit", "30")
-    assert payload["config"]["workers"] == 2
-    monkeypatch.setenv("POWERCHAINS_WORKERS", "zero")
-    assert run(capsys, "search", "--k", "2", "--seq", "1", "--limit", "30")[0] == 2
+def test_workers_default_to_the_core_count(capsys, monkeypatch):
+    monkeypatch.setenv("POWERCHAINS_WORKERS", "zero")  # no longer read
+    for cores, workers in ((3, 3), (None, 1)):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        code, payload = run_json(capsys, "search", "--k", "2", "--seq", "1",
+                                 "--limit", "30")
+        assert code == 0
+        assert payload["config"]["workers"] == workers
+
+
+def test_memory_exhaustion_exits_2_without_a_traceback(capsys, monkeypatch):
+    def exhausted(cfg):
+        raise MemoryError
+
+    monkeypatch.setitem(cli.COMMANDS, "exceptional",
+                        (exhausted, cli.COMMANDS["exceptional"][1]))
+    code, out, err = run(capsys, "exceptional", "--seq", "1,2,4")
+    assert code == 2
+    assert out == ""
+    assert err == "powerchains: error: out of memory\n"
+
+
+def test_exact_density_prints_past_the_int_to_str_digit_limit(capsys, monkeypatch):
+    # the denominator has 6,021 digits, past Python's default limit of 4,300
+    monkeypatch.setattr(cli.kummer, "predicted_density",
+                        lambda values, k: Fraction(1, 2**20000))
+    digits = sys.get_int_max_str_digits()
+    code, payload = run_json(capsys, "density", "--seq", "1,2,4", "--k", "2",
+                             "--limit", "100")
+    assert code == 1  # no chain prime below 311
+    assert sys.get_int_max_str_digits() == digits
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = f"1/{2**20000}"
+    finally:
+        sys.set_int_max_str_digits(digits)
+    assert payload["result"]["predicted_lower_bound"] == expected
 
 
 def test_timing_goes_to_stderr_not_stdout(capsys):

@@ -356,10 +356,11 @@ def test_ff_failure_descriptions(terms, k, modulus, level, kind, description):
     assert (witness.level, witness.kind, witness.description) == (level, kind, description)
 
 
-def test_ff_permutation_chain_debug_mode():
+def test_ff_permutation_chain_matches_the_naive_oracle():
     f = irreducibles_of_degree(3, 3)[0]
-    v = ff_is_permutation_chain(tpowers(3, 3), 9, f, debug=True)
+    v = ff_is_permutation_chain(tpowers(3, 3), 9, f)
     assert v.is_permutation
+    assert v.is_permutation == naive_ff_permutation_chain(tpowers(3, 3), 9, f)
 
 
 def test_ff_permutation_invariance():
