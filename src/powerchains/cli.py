@@ -36,7 +36,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -306,6 +305,9 @@ def _over_range(scan, cfg: RunConfig) -> list:
     workers = min(cfg.workers, os.cpu_count() or 1)
     if workers == 1 or cfg.limit < _SERIAL_LIMIT:
         return [scan(cfg.sequence, cfg.k, 2, cfg.limit)]
+    # imported here, so a run in one process never loads the pool machinery
+    from concurrent.futures import ProcessPoolExecutor
+
     los, his = zip(*_partition(2, cfg.limit, workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(scan, [cfg.sequence] * workers, [cfg.k] * workers,

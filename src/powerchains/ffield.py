@@ -23,7 +23,16 @@ The residue test uses the characteristic-p reduction: writing k = p^t * k'
 with gcd(k', p) = 1, an element is a kth power residue mod an irreducible f
 iff it is a k'th power residue, because x -> x^p is a bijection (Frobenius)
 of the residue field.  In particular every element is a kth residue when k is
-a power of p.
+a power of p.  A nonzero a is a k'th residue iff a^((q-1)/g) = 1, with
+q = p^deg f the size of the residue field and g = gcd(k', q-1).  When g
+divides p - 1 that power is N(a)^((p-1)/g), where the norm
+N(a) = a^((q-1)/(p-1)) lies in F_p and equals the resultant Res(f, a) of the
+monic f (Rosen, Number Theory in Function Fields, ch. 3): an O(d^2)
+Euclidean resultant and one integer `pow` stand in for a powmod whose
+exponent is about q.  That covers every k = 2 test over odd p; F_2 and the
+rest keep square-and-multiply.  The public `powmod` and Rabin's test always
+square and multiply, since their moduli may be reducible, where the identity
+fails.
 
 The constant field is restricted to prime fields F_p; extension constant
 fields would add a second layer of field arithmetic without changing any of
@@ -169,6 +178,38 @@ def _powmod(a: tuple, e: int, m: _Modulus) -> tuple:
         if bit == "1":
             result = _mulmod(result, a, m)
     return result
+
+
+def _norm(a: tuple, m: _Modulus) -> int:
+    """N(a) = Res(f, a) mod p for a reduced mod the monic f of m: the product
+    of a over the roots of f, by Euclid's algorithm on kernel tuples."""
+    f, p, out = m.f, m.p, 1
+    while len(f) > 1:
+        if not a:
+            return 0
+        # with a = c * a~, a~ monic, and f = u * a~ + r:
+        # N_f(a) = c^deg f * (-1)^(deg f * deg a) * N_a~(r)
+        d, c = len(f) - 1, a[-1]
+        if d * (len(a) - 1) & 1:
+            out = -out % p
+        if c != 1:
+            out = out * pow(c, d, p) % p
+            inv = pow(c, -1, p)
+            a = tuple([x * inv % p for x in a])
+        f, a = a, _divmod(list(f), a, p)[1]
+    return out
+
+
+def _residue_power(a: tuple, e: int, m: _Modulus) -> tuple:
+    """a^e mod m for an irreducible m, e >= 0.  In the residue field F_q,
+    q = p^deg m, a^n with n = (q-1)/(p-1) is the norm N(a) in F_p; so when n
+    divides e, a^e is the constant N(a)^(e/n).  Otherwise `_powmod`."""
+    p = m.p
+    n = (p ** (len(m.f) - 1) - 1) // (p - 1)
+    if e % n:
+        return _powmod(a, e, m)
+    c = pow(_norm(a % m, m), e // n, p)
+    return (c,) if c else ()
 
 
 # -- polynomials --------------------------------------------------------------
@@ -526,11 +567,16 @@ def _strip_char(k: int, p: int) -> int:
     return k
 
 
+def _poly_power(a: FFPoly, e: int, f: FFPoly) -> FFPoly:
+    """a^e mod a monic irreducible f, by `_residue_power`."""
+    return FFPoly._of(f.p, _residue_power(a.coeffs, e, _Modulus(f.coeffs, f.p)))
+
+
 def _ring(k: int, f) -> _subsets.Ring:
     _subsets.check_k(k)
     f = _as_modulus(f)
     exponent = _subsets.residue_exponent(_strip_char(k, f.p), f.p**f.degree)
-    return _subsets.Ring(f, k, exponent, powmod, FFPoly.one(f.p), _sort_key,
+    return _subsets.Ring(f, k, exponent, _poly_power, FFPoly.one(f.p), _sort_key,
                          f"in F_{f.p}[t]")
 
 
@@ -625,8 +671,8 @@ def find_chain_irreducibles(r, k: int, p: int, max_degree: int) -> list[Irreduci
     for d in range(1, max_degree + 1):
         exponent = _subsets.residue_exponent(k_prime, p**d)
         for f in irreducibles_of_degree(p, d):
-            ring = _subsets.Ring(_Modulus(f.coeffs, p), k, exponent, _powmod,
-                                 (1,), None, f"in F_{p}[t]")
+            ring = _subsets.Ring(_Modulus(f.coeffs, p), k, exponent,
+                                 _residue_power, (1,), None, f"in F_{p}[t]")
             if _subsets.modulus_defect(sums, ring) is None:
                 out.append(IrreducibleModulus._trusted(f))
     return out

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import io
 import json
@@ -341,7 +342,8 @@ def fake_pool(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    # the CLI imports the pool class at the point of use, so patch its home
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return built
 
 
@@ -564,7 +566,9 @@ def test_subprocess_entry_point():
 
 def test_commands_that_do_not_sieve_leave_numpy_unloaded():
     # numpy is imported by the prime sieve alone: the per-modulus commands,
-    # F_p[t] and the factoring in ff-verify never load it; a range scan does
+    # F_p[t] and the factoring in ff-verify never load it; a range scan does.
+    # The process pool is imported only when a scan forks, and a search to
+    # 100 runs in this process
     script = """
 import contextlib, io, sys
 from powerchains import cli
@@ -577,10 +581,12 @@ runs = [["verify", "--k", "2", "--modulus", "7", "--seq", "1,2,4"],
 for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv + ["--json"])
-    print(argv[0], code, "numpy" in sys.modules)
+    print(argv[0], code, "numpy" in sys.modules,
+          "concurrent.futures" in sys.modules)
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, check=True)
     assert proc.stdout.split("\n")[:-1] == [
-        "verify 1 False", "candidate-check 0 False", "ff-verify 0 False",
-        "ff-search 0 False", "search 1 True"]
+        "verify 1 False False", "candidate-check 0 False False",
+        "ff-verify 0 False False", "ff-search 0 False False",
+        "search 1 True False"]

@@ -81,6 +81,22 @@ def test_divmod_example():
 def test_powmod_frobenius_example():
     # t^9 reduces to t in F_9 = F_3[t]/(t^2+1)
     assert powmod(FFPoly.gen(3), 9, P(3, 1, 0, 1)) == FFPoly.gen(3)
+    # over a reducible modulus a^((q-1)/(p-1)) need not be a norm in F_p:
+    # the public powmod (and Rabin's test through it) stays plain
+    # square-and-multiply, checked against repeated multiplication
+    for f in (P(3, 1, 2, 1), P(5, 0, 1, 1)):  # (t+1)^2 over F_3, t^2+t over F_5
+        p = f.p
+        e = (p**f.degree - 1) // (p - 1)
+        assert not is_irreducible(f)
+        got = []
+        for coeffs in product(range(p), repeat=f.degree):
+            a = FFPoly(p, coeffs)
+            expected = FFPoly.one(p)
+            for _ in range(e):
+                expected = expected * a % f
+            assert powmod(a, e, f) == expected, (f, a)
+            got.append(expected)
+        assert any(y.degree >= 1 for y in got), f
 
 
 def test_normalization_and_eval():
@@ -196,18 +212,30 @@ def test_kth_residue_ff_examples():
 
 def test_char_p_reduction_property():
     # k = p^t * k' with (k', p) = 1: the kth and k'th residue tests agree,
-    # both checked against brute-force enumeration
-    for p, d in [(2, 2), (2, 3), (3, 2), (3, 3), (5, 1), (5, 2)]:
-        f = IrreducibleModulus(irreducibles_of_degree(p, d)[0])
-        for k in range(1, 28):
-            kp = k
-            while kp % p == 0:
-                kp //= p
-            powers = brute_kth_powers(f, k)
-            for a in residue_field(f):
-                got = is_kth_residue_ff(a, k, f)
-                assert got == (a in powers), (p, d, k, a)
-                assert got == is_kth_residue_ff(a, kp, f)
+    # both checked against brute-force enumeration on every irreducible.
+    # k runs through both branches of the residue test, the norm to F_p
+    # (gcd(k', q-1) divides p-1) and square-and-multiply (p = 3, k = 4 at
+    # d = 2; p = 5, k = 3 at d = 2), and d = 1
+    ks = range(1, 28)
+    for p, d in [(2, 2), (2, 3), (3, 2), (3, 3), (5, 1), (5, 2), (7, 2)]:
+        for g in irreducibles_of_degree(p, d):
+            f = IrreducibleModulus(g)
+            elements = residue_field(f)
+            # the kth powers for every k at once, by repeated multiplication
+            powers = {k: set() for k in ks}
+            for x in elements:
+                y = FFPoly.one(p)
+                for k in ks:
+                    y = y * x % g
+                    powers[k].add(y)
+            for k in ks:
+                kp = k
+                while kp % p == 0:
+                    kp //= p
+                for a in elements:
+                    got = is_kth_residue_ff(a, k, f)
+                    assert got == (a in powers[k]), (p, g, k, a)
+                    assert got == is_kth_residue_ff(a, kp, f)
 
 
 def test_frobenius_is_a_bijection():
