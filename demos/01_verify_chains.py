@@ -12,7 +12,7 @@ from powerchains import is_permutation_chain, naive_permutation_chain, subset_su
 r = [1, 2, 4]
 print(f"candidate r = {r}")
 print(f"subset sums (= window sums over all orderings): "
-      f"{sorted(subset_sums(r).values)}\n")
+      f"{sorted(subset_sums(r))}\n")
 
 for k, p in [(1, 11), (2, 7), (2, 23), (2, 311)]:
     v = is_permutation_chain(r, k, p)

@@ -22,7 +22,6 @@ from powerchains.chains import (
     ChainFailure,
     ChainVerdict,
     SumDistinctResult,
-    SumSet,
     exceptional_primes,
     find_chain_primes,
     is_chain,
@@ -55,7 +54,6 @@ from powerchains.ffield import (
 )
 from powerchains.kummer import (
     DensityReport,
-    ExponentVector,
     KummerClassGroup,
     class_group,
     empirical_density,

@@ -7,8 +7,9 @@ increasing bitmask order, which makes every witness reproducible.
 The chain semantics (window, cyclic and permutation verdicts, the literal
 all-orderings verifier, and the per-modulus test used by the searches) are
 written once here over a `Ring`: the few facts about one modulus m of Z or
-F_p[t] that differ between the two rings.  Values are reduced with `v % m`,
-which both `int` and `FFPoly` support.
+F_p[t] that differ between the two rings.  Values are reduced with `v % m`:
+an `int` by a prime, an `FFPoly` by a polynomial in the verifiers, and a
+kernel coefficient tuple by an `ffield._Modulus` in the F_p[t] search.
 """
 
 from __future__ import annotations
@@ -58,82 +59,25 @@ def subset_values(items) -> set:
     return values
 
 
-def _mask_sums(items):
-    """(mask, subset sum) for every nonempty subset, in increasing mask order."""
+def first_sum_collision(items):
+    """First pair of distinct subsets with equal sums, in mask order.
+
+    Returns (indices_a, indices_b, value) or None when all 2^n - 1 nonempty
+    subset sums are pairwise distinct.  The sum of each mask extends the sum
+    of the mask without its lowest bit.
+    """
     items = list(items)
     sums = [None] * (1 << len(items))
+    seen: dict = {}
     for mask in range(1, len(sums)):
         low = mask & -mask
         rest = mask ^ low
         x = items[low.bit_length() - 1]
         sums[mask] = s = x if rest == 0 else sums[rest] + x
-        yield mask, s
-
-
-def subset_value_witnesses(items) -> dict:
-    """Map each subset-sum value to the first (lowest-mask) subset reaching it."""
-    witnesses: dict = {}
-    for mask, s in _mask_sums(items):
-        if s not in witnesses:
-            witnesses[s] = mask_indices(mask)
-    return witnesses
-
-
-def first_sum_collision(items):
-    """First pair of distinct subsets with equal sums, in mask order.
-
-    Returns (indices_a, indices_b, value) or None when all 2^n - 1 nonempty
-    subset sums are pairwise distinct.
-    """
-    seen: dict = {}
-    for mask, s in _mask_sums(items):
         if s in seen:
             return mask_indices(seen[s]), mask_indices(mask), s
         seen[s] = mask
     return None
-
-
-@dataclass(frozen=True)
-class SumSet:
-    """The set E of all nonempty subset sums of a candidate.
-
-    `witnesses`, when populated, maps each value to the first index subset
-    (1-based, in bitmask order) that attains it; `by_window()` rewrites those
-    subsets as (ordering, i, j) window witnesses.
-    """
-
-    values: frozenset
-    witnesses: dict | None = None
-    term_count: int | None = None
-
-    def __len__(self):
-        return len(self.values)
-
-    def __contains__(self, v):
-        return v in self.values
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def by_window(self) -> dict:
-        """Map (sigma, i, j) -> value.  sigma is a 1-based permutation tuple
-        placing the witness subset first, so the window i..j is consecutive."""
-        if self.witnesses is None or self.term_count is None:
-            raise ValueError("sum set was built without witnesses")
-        m = self.term_count
-        out = {}
-        for value, subset in sorted(self.witnesses.items(), key=lambda kv: kv[1]):
-            rest = tuple(i for i in range(1, m + 1) if i not in subset)
-            out[(subset + rest, 1, len(subset))] = value
-        return out
-
-
-def sum_set(terms, with_witnesses: bool) -> SumSet:
-    check_term_cap(len(terms))
-    if with_witnesses:
-        witnesses = subset_value_witnesses(terms)
-        return SumSet(frozenset(witnesses), witnesses, len(terms))
-    return SumSet(sum_distinct(terms)[1], None, len(terms))
 
 
 @dataclass(frozen=True)

@@ -43,12 +43,11 @@ from dataclasses import dataclass
 from itertools import islice
 
 from powerchains import _subsets, arith
-from powerchains._subsets import ChainFailure, ChainVerdict, SumDistinctResult, SumSet
+from powerchains._subsets import ChainFailure, ChainVerdict, SumDistinctResult
 from powerchains.errors import OverflowLimitError
 
 __all__ = [
     "CandidateSequence",
-    "SumSet",
     "SumDistinctResult",
     "ChainFailure",
     "ChainVerdict",
@@ -107,14 +106,16 @@ def _ring(k: int, p) -> _subsets.Ring:
                          "over the integers")
 
 
-def subset_sums(r, *, with_witnesses: bool = False) -> SumSet:
-    """All 2^m - 1 nonempty subset sums of r, computed in O(2^m).
+def subset_sums(r) -> frozenset:
+    """The set E of all nonempty subset sums of r, computed in O(2^m).
 
-    This set equals the set of window sums taken over every reordering of r;
-    see the module docstring.  Sequences of more than 24 terms (the fixed
-    subset-sum cap) raise SizeLimitError.
+    E equals the set of window sums taken over every reordering of r; see
+    the module docstring.  It has 2^m - 1 elements exactly when r is
+    sum-distinct.  The frozenset is the one the chain core keeps for the
+    last candidate, shared because it cannot change.  Sequences of more than
+    24 terms (the fixed subset-sum cap) raise SizeLimitError.
     """
-    return _subsets.sum_set(_terms(r), with_witnesses)
+    return _subsets.sum_distinct(_terms(r))[1]
 
 
 def is_sum_distinct(r) -> SumDistinctResult:
@@ -311,9 +312,14 @@ def find_chain_primes(r, k: int, limit: int, max_count: int | None = None) -> li
 def vegh_sequence(m: int, base: int) -> CandidateSequence:
     """The geometric candidate 1, base, base^2, ..., base^(m-1) (Vegh's
     construction).  Always sum-distinct: subset sums are numbers with 0/1
-    digits in base `base`, which are pairwise distinct for base >= 2."""
+    digits in base `base`, which are pairwise distinct for base >= 2.
+    Building stops at the first term past the 128-bit width, which the
+    constructor then refuses, so a huge m costs no huge powers."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
-    return CandidateSequence(tuple(base**i for i in range(m)))
+    terms = [1]
+    while len(terms) < m and terms[-1] <= arith.MAX_VALUE:
+        terms.append(terms[-1] * base)
+    return CandidateSequence(tuple(terms))

@@ -148,6 +148,7 @@ def _parse_vegh(text: str) -> list[int]:
 def _tpowers(m: int, p: int) -> list[ffield.FFPoly]:
     if m < 1:
         raise ValueError(f"--tpowers expects m >= 1, got {m}")
+    _subsets.check_term_cap(m)  # before the powers, whose size grows with m
     t = ffield.FFPoly.gen(p)
     return [t**i for i in range(m)]
 

@@ -52,7 +52,7 @@ from itertools import product
 from operator import mul
 
 from powerchains import _subsets, arith
-from powerchains._subsets import ChainVerdict, SumDistinctResult, SumSet
+from powerchains._subsets import ChainVerdict, SumDistinctResult
 from powerchains.errors import SizeLimitError
 
 __all__ = [
@@ -610,9 +610,11 @@ def _ff_terms(r) -> tuple[FFPoly, ...]:
     return terms
 
 
-def ff_subset_sums(r, *, with_witnesses: bool = False) -> SumSet:
-    """All nonempty subset sums of a polynomial candidate (exact, in F_p[t])."""
-    return _subsets.sum_set(_ff_terms(r), with_witnesses)
+def ff_subset_sums(r) -> frozenset:
+    """The set E of all nonempty subset sums of a polynomial candidate, as
+    FFPoly values (exact, in F_p[t]); shared with the chain core's cache,
+    like `chains.subset_sums`."""
+    return _subsets.sum_distinct(_ff_terms(r))[1]
 
 
 def ff_is_sum_distinct(r) -> SumDistinctResult:

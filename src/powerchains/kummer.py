@@ -36,7 +36,6 @@ from fractions import Fraction
 from powerchains import _subsets, arith, chains
 
 __all__ = [
-    "ExponentVector",
     "KummerClassGroup",
     "DensityReport",
     "exponent_vector",
@@ -48,36 +47,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ExponentVector:
-    """Class of a nonzero rational in Q*/(Q*)^k, as sparse exponents mod k.
+def exponent_vector(a: int, k: int) -> tuple[tuple[int, int], ...]:
+    """Class of a nonzero rational a in Q*/(Q*)^k, as sparse exponents mod k.
 
-    coords holds (position, exponent) pairs with position -1 for the sign and
-    primes otherwise, ascending, zero exponents omitted.
-    """
-
-    k: int
-    coords: tuple[tuple[int, int], ...]
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.coords)
-
-    def is_trivial(self) -> bool:
-        return not self.coords
-
-
-def exponent_vector(a: int, k: int) -> ExponentVector:
-    """Exponent vector of a modulo kth powers.
-
-    The factorization exponents are reduced mod k; for even k a negative sign
-    contributes k/2 on the -1 coordinate (so that twice the sign coordinate
-    vanishes), while for odd k the sign is itself a kth power and drops out.
+    The (position, exponent) pairs are ascending by position: -1 for the
+    sign, primes otherwise, with zero exponents omitted, so () is the
+    trivial class.  The factorization exponents are reduced mod k; for even
+    k a negative sign contributes k/2 on the -1 coordinate (so that twice
+    the sign coordinate vanishes), while for odd k the sign is itself a kth
+    power and drops out.
     """
     if a == 0:
         raise ValueError("0 has no class modulo kth powers")
     _subsets.check_k(k)
     if k == 1:
-        return ExponentVector(1, ())
+        return ()
     coords = []
     if a < 0 and k % 2 == 0:
         coords.append((-1, k // 2))
@@ -85,7 +69,7 @@ def exponent_vector(a: int, k: int) -> ExponentVector:
     for p, e in f.factors:
         if e % k:
             coords.append((p, e % k))
-    return ExponentVector(k, tuple(coords))
+    return tuple(coords)
 
 
 def _subgroup_order(rows, k: int) -> int:
@@ -120,10 +104,11 @@ def _subgroup_order(rows, k: int) -> int:
 
 @dataclass(frozen=True)
 class KummerClassGroup:
-    """Subgroup of Q*/(Q*)^k generated by the nonzero elements of E."""
+    """Subgroup of Q*/(Q*)^k generated by the nonzero elements of E; each
+    generator is its `exponent_vector`."""
 
     k: int
-    generators: tuple[ExponentVector, ...]
+    generators: tuple[tuple[tuple[int, int], ...], ...]
     positions: tuple[int, ...]
     subgroup_order: int
     excluded_zeros: int = 0
@@ -132,17 +117,18 @@ class KummerClassGroup:
 def class_group(E, k: int) -> KummerClassGroup:
     """Class group data for a subset-sum set (or any iterable of integers).
 
-    Zero elements generate nothing (0 is a residue at every prime) and are
-    excluded but counted.  The order is computed by one gcd elimination over
-    the lifted integer matrix: the sparse exponent vectors are reduced mod k
-    against pivots that each divide k, so composite k needs no split into
-    prime powers.
+    The generators are the exponent vectors of the nonzero elements, in
+    ascending order of the element.  Zero elements generate nothing (0 is a
+    residue at every prime) and are excluded but counted.  The order is
+    computed by one gcd elimination over the lifted integer matrix: the
+    sparse exponent vectors are reduced mod k against pivots that each
+    divide k, so composite k needs no split into prime powers.
     """
     _subsets.check_k(k)
     elements = sorted({int(x) for x in E})
     gens = tuple(exponent_vector(c, k) for c in elements if c)
-    positions = tuple(sorted({pos for g in gens for pos, _ in g.coords}))
-    order = _subgroup_order((g.coords for g in gens), k)
+    positions = tuple(sorted({pos for g in gens for pos, _ in g}))
+    order = _subgroup_order(gens, k)
     zeros = len(elements) - len(gens)
     return KummerClassGroup(k, gens, positions, order, zeros)
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from powerchains import __version__, cli
+from powerchains import __version__, _subsets, cli
 from powerchains.cli import main, parse_int_sequence, parse_poly_sequence
 
 # pytest runs these via main() to keep them fast; one subprocess test at the
@@ -291,6 +291,49 @@ def test_oversized_ff_search_fields_exit_2_within_a_second(capsys):
         assert code == 2, argv
         assert out == ""
         assert "enumeration cap of 65536 monics" in err, argv
+
+
+def test_oversized_shorthands_exit_2_within_a_second(capsys):
+    # the shorthand is refused before its terms are built: 1, 2, ..., 2^59999
+    # or t^0..t^9999 once took seconds and hundreds of MB to reach the same
+    # message
+    overflow = "powerchains: error: candidate terms overflow the 128-bit width once summed\n"
+    term_cap = ("powerchains: error: sequence has 10000 terms, above the fixed "
+                "subset-sum cap of 24 terms\n")
+    for argv, err_expected in (
+            (("candidate-check", "--vegh", "60000,2"), overflow),
+            (("density", "--vegh", "60000,2", "--k", "2", "--limit", "100"), overflow),
+            (("ff-search", "--char", "2", "--k", "1", "--tpowers", "10000",
+              "--max-degree", "2"), term_cap),
+            (("ff-verify", "--char", "3", "--k", "2", "--modulus", "GF(3)[1,0,1]",
+              "--tpowers", "10000"), term_cap)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert (code, out, err) == (2, "", err_expected), argv
+
+
+def test_each_command_builds_e_once(capsys, monkeypatch):
+    calls = []
+    subset_values = _subsets.subset_values
+
+    def counted(items):
+        calls.append(tuple(items))
+        return subset_values(items)
+
+    _subsets._sum_distinct.cache_clear()
+    monkeypatch.setattr(_subsets, "subset_values", counted)
+    for argv in (("search", "--k", "2", "--seq", "1,2,4", "--limit", "20000",
+                  "--workers", "1"),
+                 ("density", "--k", "2", "--seq", "1,2,5", "--limit", "20000",
+                  "--workers", "1"),
+                 ("candidate-check", "--seq", "1,2,6"),
+                 ("ff-search", "--char", "3", "--k", "2", "--tpowers", "3",
+                  "--max-degree", "4")):
+        calls.clear()
+        code, _, _ = run(capsys, *argv, "--json")
+        assert code == 0, argv
+        assert len(calls) == 1, argv
 
 
 # ---------- determinism and report envelope ----------
