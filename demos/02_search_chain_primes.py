@@ -10,7 +10,7 @@ from powerchains import exceptional_primes, find_chain_primes, is_sum_distinct, 
 
 for base in (2, 3):
     r = vegh_sequence(3, base)
-    print(f"geometric candidate {list(r.terms)} (always sum-distinct: "
+    print(f"geometric candidate {list(r)} (always sum-distinct: "
           f"{bool(is_sum_distinct(r))})")
     print(f"  exceptional primes: {list(exceptional_primes(r))}")
     for k in (2, 3, 4):

@@ -29,7 +29,7 @@ for p in (3, 5):
         print(f"  k={k}: {len(moduli)} chain moduli of degree <= 6 "
               f"(by degree: {dict(sorted(by_degree.items()))})")
         first = moduli[0]
-        print(f"     smallest: {poly_to_text(first.f)} = {first.f}")
+        print(f"     smallest: {poly_to_text(first)} = {first}")
     print()
 
 print("The char-p reduction, concretely over F_3:")

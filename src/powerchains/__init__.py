@@ -8,7 +8,6 @@ class group of the subset sums modulo kth powers.
 
 from powerchains.arith import (
     Factorization,
-    PrimeModulus,
     euler_phi,
     factor,
     is_kth_residue,
@@ -18,7 +17,6 @@ from powerchains.arith import (
     primes_up_to,
 )
 from powerchains.chains import (
-    CandidateSequence,
     ChainFailure,
     ChainVerdict,
     SumDistinctResult,
@@ -39,7 +37,6 @@ from powerchains.errors import (
 )
 from powerchains.ffield import (
     FFPoly,
-    IrreducibleModulus,
     ff_is_chain,
     ff_is_cyclic_chain,
     ff_is_permutation_chain,

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd, isqrt, prod
+from operator import index
 from typing import TYPE_CHECKING
 
 from powerchains import _subsets
@@ -109,26 +110,13 @@ def is_prime(n: int) -> bool:
     return not any(_mr_composite_witness(n, d, s, a) for a in _MR_BASES)
 
 
-@dataclass(frozen=True)
-class PrimeModulus:
-    """A positive integer asserted (and checked) to be prime."""
-
-    p: int
-
-    def __post_init__(self):
-        if self.p < 2 or not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
-
-    def __int__(self) -> int:
-        return self.p
-
-    def __index__(self) -> int:
-        return self.p
-
-
 def _as_prime(p) -> int:
-    """Accept an int (validated) or a PrimeModulus (trusted)."""
-    return (p if isinstance(p, PrimeModulus) else PrimeModulus(int(p))).p
+    """The prime modulus p as an int; TypeError for a non-integer (a float
+    is refused, not truncated), ValueError when p is not prime."""
+    p = index(p)
+    if p < 2 or not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
+    return p
 
 
 @dataclass(frozen=True)

@@ -39,15 +39,14 @@ otherwise the same loop runs over object arrays with Python's pow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
+from operator import index
 
 from powerchains import _subsets, arith
 from powerchains._subsets import ChainFailure, ChainVerdict, SumDistinctResult
 from powerchains.errors import OverflowLimitError
 
 __all__ = [
-    "CandidateSequence",
     "SumDistinctResult",
     "ChainFailure",
     "ChainVerdict",
@@ -64,39 +63,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CandidateSequence:
-    """An ordered candidate r_1..r_m of integers, m >= 1.
-
-    Terms and all their subset sums must fit in the 128-bit width, which the
-    constructor guarantees by bounding sum(|r_i|).
-    """
-
-    terms: tuple[int, ...]
-
-    def __post_init__(self):
-        terms = tuple(int(t) for t in self.terms)
-        object.__setattr__(self, "terms", terms)
-        if not terms:
-            raise ValueError("candidate sequence must have at least one term")
-        if sum(abs(t) for t in terms) > arith.MAX_VALUE:
-            raise OverflowLimitError(
-                "candidate terms overflow the 128-bit width once summed")
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def __getitem__(self, i):
-        return self.terms[i]
-
-
 def _terms(r) -> tuple[int, ...]:
-    if isinstance(r, CandidateSequence):
-        return r.terms
-    return CandidateSequence(tuple(r)).terms
+    """The candidate r_1..r_m, m >= 1, as a tuple of ints.
+
+    Each term must be an integer (`operator.index`: a float or a string
+    raises TypeError), and the terms and all their subset sums must fit in
+    the 128-bit width, which bounding sum(|r_i|) guarantees.
+    """
+    terms = tuple(map(index, r))
+    if not terms:
+        raise ValueError("candidate sequence must have at least one term")
+    if sum(map(abs, terms)) > arith.MAX_VALUE:
+        raise OverflowLimitError(
+            "candidate terms overflow the 128-bit width once summed")
+    return terms
 
 
 def _ring(k: int, p) -> _subsets.Ring:
@@ -309,12 +289,12 @@ def find_chain_primes(r, k: int, limit: int, max_count: int | None = None) -> li
                        max_count))
 
 
-def vegh_sequence(m: int, base: int) -> CandidateSequence:
+def vegh_sequence(m: int, base: int) -> tuple[int, ...]:
     """The geometric candidate 1, base, base^2, ..., base^(m-1) (Vegh's
     construction).  Always sum-distinct: subset sums are numbers with 0/1
     digits in base `base`, which are pairwise distinct for base >= 2.
     Building stops at the first term past the 128-bit width, which the
-    constructor then refuses, so a huge m costs no huge powers."""
+    candidate check then refuses, so a huge m costs no huge powers."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if base < 2:
@@ -322,4 +302,4 @@ def vegh_sequence(m: int, base: int) -> CandidateSequence:
     terms = [1]
     while len(terms) < m and terms[-1] <= arith.MAX_VALUE:
         terms.append(terms[-1] * base)
-    return CandidateSequence(tuple(terms))
+    return _terms(terms)

@@ -58,12 +58,12 @@ class RunConfig:
     format: str
     characteristic: int | None = None
     k: int | None = None
-    modulus: arith.PrimeModulus | ffield.IrreducibleModulus | None = None
+    modulus: int | ffield.FFPoly | None = None
     limit: int | None = None
     max_degree: int | None = None
     max_count: int | None = None
     workers: int | None = None  # set only for the commands that scan a range
-    sequence: chains.CandidateSequence | list | None = None
+    sequence: tuple | list | None = None
 
     def settings(self) -> dict:
         return {f.name: _jsonable(getattr(self, f.name)) for f in fields(self)
@@ -75,14 +75,10 @@ class RunConfig:
 
 
 def _jsonable(v):
-    if isinstance(v, (list, chains.CandidateSequence)):
+    if isinstance(v, (list, tuple)):
         return [_jsonable(t) for t in v]
-    if isinstance(v, arith.PrimeModulus):
-        return v.p
     if isinstance(v, ffield.FFPoly):
         return ffield.poly_to_text(v)
-    if isinstance(v, ffield.IrreducibleModulus):
-        return ffield.poly_to_text(v.f)
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
     return v
@@ -134,7 +130,7 @@ def parse_poly_sequence(text: str, characteristic: int) -> list[ffield.FFPoly]:
     return terms
 
 
-def _parse_vegh(text: str) -> list[int]:
+def _parse_vegh(text: str) -> tuple[int, ...]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"--vegh expects 'm,base', got {text!r}")
@@ -142,7 +138,7 @@ def _parse_vegh(text: str) -> list[int]:
         m, base = int(parts[0]), int(parts[1])
     except ValueError:
         raise ValueError(f"--vegh expects integers 'm,base', got {text!r}") from None
-    return list(chains.vegh_sequence(m, base).terms)
+    return chains.vegh_sequence(m, base)
 
 
 def _tpowers(m: int, p: int) -> list[ffield.FFPoly]:
@@ -241,10 +237,10 @@ def _build_config(ns: argparse.Namespace) -> RunConfig:
         cfg.k = ns.k
 
     if not polynomial:
-        cfg.sequence = chains.CandidateSequence(tuple(
-            parse_int_sequence(ns.seq) if ns.vegh is None else _parse_vegh(ns.vegh)))
+        cfg.sequence = chains._terms(
+            parse_int_sequence(ns.seq) if ns.vegh is None else _parse_vegh(ns.vegh))
         if hasattr(ns, "modulus"):
-            cfg.modulus = arith.PrimeModulus(ns.modulus)
+            cfg.modulus = arith._as_prime(ns.modulus)
     else:
         cfg.characteristic = ffield._check_characteristic(ns.char)
         if ns.tpowers is not None:
@@ -256,7 +252,9 @@ def _build_config(ns: argparse.Namespace) -> RunConfig:
             if f.p != ns.char:
                 raise ValueError(f"modulus characteristic {f.p} does not match "
                                  f"--char {ns.char}")
-            cfg.modulus = ffield.IrreducibleModulus(f)
+            if not f.is_monic():  # stricter than the library, which scales to monic
+                raise ValueError(f"modulus {f!r} is not monic")
+            cfg.modulus = ffield._as_modulus(f)
 
     for name in ("limit", "max_degree", "max_count"):
         v = getattr(ns, name, None)

@@ -9,8 +9,8 @@ the empty tuple): multiplication, division by a monic, and mulmod/powmod
 against a fixed monic modulus.  `FFPoly` wraps such a tuple and hands every
 operator to the kernel.  The irreducible sieve works on tuples and builds
 `FFPoly` objects only for the irreducibles it returns; the modulus search
-reduces E as tuples, through the chain core's per-modulus test, and builds
-an `IrreducibleModulus` only for the moduli it returns.
+reduces E as tuples, through the chain core's per-modulus test, and returns
+the `FFPoly` moduli the sieve built.
 
 `irreducibles_of_degree` sieves the p^d monics of degree d, held in one
 bytearray indexed by base-p value: it marks every product g*h of a monic
@@ -57,7 +57,6 @@ from powerchains.errors import SizeLimitError
 
 __all__ = [
     "FFPoly",
-    "IrreducibleModulus",
     "MAX_MONICS",
     "powmod",
     "poly_gcd",
@@ -520,44 +519,22 @@ def irreducibles_of_degree(p: int, d: int) -> list[FFPoly]:
     return [FFPoly._of(p, f) for f in _irreducible_coeffs(p, d)]
 
 
-@dataclass(frozen=True)
-class IrreducibleModulus:
-    """A monic irreducible polynomial, playing the role of a prime modulus;
-    its residue field has p^degree elements."""
-
-    f: FFPoly
-
-    def __post_init__(self):
-        if not self.f.is_monic():
-            raise ValueError(f"modulus {self.f!r} is not monic")
-        if not is_irreducible(self.f):
-            raise ValueError(f"modulus {self.f!r} is reducible")
-
-    @classmethod
-    def _trusted(cls, f: FFPoly) -> "IrreducibleModulus":
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "f", f)
-        return obj
-
-    @property
-    def p(self) -> int:
-        return self.f.p
-
-    @property
-    def degree(self) -> int:
-        return self.f.degree
-
-    @property
-    def field_size(self) -> int:
-        return self.f.p**self.f.degree
-
-
 def _as_modulus(f) -> FFPoly:
-    if isinstance(f, IrreducibleModulus):
-        return f.f
-    if isinstance(f, FFPoly):
-        return IrreducibleModulus(f.monic()).f
-    raise TypeError(f"expected FFPoly or IrreducibleModulus, got {type(f).__name__}")
+    """The modulus f, an irreducible FFPoly, scaled to monic; ValueError
+    when it is zero, constant or reducible.  The last modulus that passed is
+    kept, so a run of queries against one f runs Rabin's test once."""
+    if not isinstance(f, FFPoly):
+        raise TypeError(f"expected FFPoly, got {type(f).__name__}")
+    return _check_modulus(f.monic())
+
+
+@lru_cache(maxsize=1)
+def _check_modulus(f: FFPoly) -> FFPoly:
+    if not f.is_monic():  # only the zero polynomial has no monic associate
+        raise ValueError(f"modulus {f!r} is not monic")
+    if not is_irreducible(f):
+        raise ValueError(f"modulus {f!r} is reducible")
+    return f
 
 
 def _strip_char(k: int, p: int) -> int:
@@ -649,7 +626,7 @@ def naive_ff_permutation_chain(r, k: int, f) -> bool:
     return _subsets.naive_permutation_chain(terms, _ring(k, f))
 
 
-def find_chain_irreducibles(r, k: int, p: int, max_degree: int) -> list[IrreducibleModulus]:
+def find_chain_irreducibles(r, k: int, p: int, max_degree: int) -> list[FFPoly]:
     """All monic irreducibles of degree <= max_degree realizing r as a
     permutation chain of kth power residues, ordered by (degree, value).
 
@@ -669,12 +646,12 @@ def find_chain_irreducibles(r, k: int, p: int, max_degree: int) -> list[Irreduci
                     key=_sort_key)
     sums = [v.coeffs for v in values]
     k_prime = _strip_char(k, p)
-    out: list[IrreducibleModulus] = []
+    out: list[FFPoly] = []
     for d in range(1, max_degree + 1):
         exponent = _subsets.residue_exponent(k_prime, p**d)
         for f in irreducibles_of_degree(p, d):
             ring = _subsets.Ring(_Modulus(f.coeffs, p), k, exponent,
                                  _residue_power, (1,), None, f"in F_{p}[t]")
             if _subsets.modulus_defect(sums, ring) is None:
-                out.append(IrreducibleModulus._trusted(f))
+                out.append(f)
     return out

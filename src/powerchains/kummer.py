@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 from powerchains import _subsets, arith, chains
 
@@ -125,7 +126,7 @@ def class_group(E, k: int) -> KummerClassGroup:
     divide k, so composite k needs no split into prime powers.
     """
     _subsets.check_k(k)
-    elements = sorted({int(x) for x in E})
+    elements = sorted(set(map(index, E)))
     gens = tuple(exponent_vector(c, k) for c in elements if c)
     positions = tuple(sorted({pos for g in gens for pos, _ in g}))
     order = _subgroup_order(gens, k)

@@ -11,7 +11,6 @@ from powerchains.arith import (
     MAX_VALUE,
     MR_CERTIFIED_BOUND,
     Factorization,
-    PrimeModulus,
     euler_phi,
     factor,
     is_kth_residue,
@@ -256,13 +255,23 @@ def test_is_kth_residue_examples():
 
 
 def test_is_kth_residue_validation():
+    import numpy as np
+
     with pytest.raises(ValueError):
         is_kth_residue(2, 0, 7)
     with pytest.raises(ValueError):
         is_kth_residue(2, 2, 8)  # composite modulus
-    assert is_kth_residue(2, 2, PrimeModulus(7))
+    assert is_kth_residue(2, 2, 7)
+    assert is_kth_residue(2, 2, np.int64(7))
     with pytest.raises(ValueError):
-        PrimeModulus(9)
+        is_kth_residue(2, 2, 9)
+    with pytest.raises(ValueError):
+        is_kth_residue(2, 2, True)  # the modulus 1
+    # a non-integer modulus is refused, not truncated to 7
+    with pytest.raises(TypeError):
+        is_kth_residue(2, 2, 7.9)
+    with pytest.raises(TypeError):
+        is_kth_residue(2, 2, "7")
 
 
 def test_is_kth_residue_against_enumeration_oracle():

@@ -6,7 +6,6 @@ import pytest
 
 from powerchains import arith
 from powerchains.chains import (
-    CandidateSequence,
     ChainVerdict,
     chain_primes_in_range,
     exceptional_primes,
@@ -86,11 +85,23 @@ def test_subset_sums_cap():
     assert len(subset_sums(r[:18])) == 2**18 - 1
 
 
-def test_candidate_sequence_validation():
+def test_candidate_validation():
+    import numpy as np
+
     with pytest.raises(ValueError):
-        CandidateSequence(())
+        is_sum_distinct(())
     with pytest.raises(OverflowLimitError):
-        CandidateSequence((2**126, 2**126, 2**126))
+        is_sum_distinct((2**126, 2**126, 2**126))
+    # a non-integer term or modulus is refused, not truncated or parsed
+    with pytest.raises(TypeError):
+        is_permutation_chain([1, 2, 4], 2, 311.9)
+    with pytest.raises(TypeError):
+        is_sum_distinct([1.5, 2.5, 3.7])
+    with pytest.raises(TypeError):
+        subset_sums(['1', '2'])
+    # numpy integers and Python bools are integers
+    assert is_permutation_chain(np.array([1, 2, 4]), 2, np.int64(311)).is_permutation
+    assert subset_sums([True, 2]) == {1, 2, 3}
 
 
 # ---------- sum-distinctness ----------
@@ -514,10 +525,10 @@ def test_find_chain_primes_rejects_bad_k():
 # ---------- candidate generators ----------
 
 def test_vegh_sequence_examples():
-    assert vegh_sequence(3, 2).terms == (1, 2, 4)
-    assert vegh_sequence(1, 7).terms == (1,)
+    assert vegh_sequence(3, 2) == (1, 2, 4)
+    assert vegh_sequence(1, 7) == (1,)
     v = vegh_sequence(4, 3)
-    assert v.terms == (1, 3, 9, 27)
+    assert v == (1, 3, 9, 27)
     assert is_sum_distinct(v)
 
 

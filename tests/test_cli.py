@@ -228,6 +228,11 @@ def test_ff_verify_malformed(capsys):
                "GF(3)[0,0,1]", "--tpowers", "3")[0] == 2  # reducible
     assert run(capsys, "ff-verify", "--char", "5", "--k", "2", "--modulus",
                "GF(3)[1,0,1]", "--tpowers", "3")[0] == 2  # char mismatch
+    # stricter than the library, which would scale it to t^2 + 1
+    code, _, err = run(capsys, "ff-verify", "--char", "3", "--k", "2", "--modulus",
+                       "GF(3)[2,0,2]", "--tpowers", "3")
+    assert code == 2
+    assert "modulus GF(3)[2,0,2] is not monic" in err
 
 
 def test_ff_search_positive_and_csv(capsys):

@@ -8,7 +8,6 @@ from powerchains.chains import is_permutation_chain
 from powerchains.errors import InvalidCandidateError, SizeLimitError
 from powerchains.ffield import (
     FFPoly,
-    IrreducibleModulus,
     ff_is_chain,
     ff_is_cyclic_chain,
     ff_is_permutation_chain,
@@ -34,7 +33,6 @@ def P(p, *coeffs):
 def brute_kth_powers(f, k):
     """Oracle: the image of x -> x^k on the residue field, by repeated
     multiplication (independent of square-and-multiply)."""
-    f = f.f if isinstance(f, IrreducibleModulus) else f
     out = set()
     for x in residue_field(f):
         y = FFPoly.one(f.p)
@@ -183,19 +181,45 @@ def test_irreducibles_ordering_and_monicity():
 
 
 def test_irreducible_modulus_validation():
-    IrreducibleModulus(P(3, 1, 0, 1))
+    t = FFPoly.gen(3)
+    assert is_kth_residue_ff(t, 1, P(3, 1, 0, 1))
     with pytest.raises(ValueError):
-        IrreducibleModulus(P(3, 0, 0, 1))  # t^2 is reducible
+        is_kth_residue_ff(t, 1, P(3, 0, 0, 1))  # t^2 is reducible
     with pytest.raises(ValueError):
-        IrreducibleModulus(P(3, 1, 0, 2))  # not monic
-    m = IrreducibleModulus(P(3, 1, 0, 1))
-    assert m.field_size == 9 and m.degree == 2 and m.p == 3
+        is_kth_residue_ff(t, 1, P(3, 1, 0, 2))  # scales to t^2 + 2, reducible
+    with pytest.raises(ValueError, match="not monic"):
+        is_kth_residue_ff(t, 1, P(3))  # zero
+    with pytest.raises(TypeError):
+        is_kth_residue_ff(t, 1, (1, 0, 1))
+    assert len(residue_field(P(3, 1, 0, 1))) == 9
+    # the modulus is scaled to monic: 2t^2 + 2 stands for t^2 + 1
+    assert residue_field(P(3, 2, 0, 2)) == residue_field(P(3, 1, 0, 1))
+
+
+def test_one_rabin_test_per_modulus(monkeypatch):
+    # a run of queries against one modulus, or against its scalar multiples,
+    # runs Rabin's test once; a reducible modulus is still refused
+    is_kth_residue_ff(FFPoly.gen(3), 2, P(3, 1, 0, 1))  # some other modulus last
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return is_irreducible(f)
+
+    monkeypatch.setattr(ffield, "is_irreducible", counting)
+    f = irreducibles_of_degree(11, 3)[100]
+    for i in range(50):
+        is_kth_residue_ff(P(11, i % 11, i // 11), 2, f if i % 2 else 3 * f)
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="reducible"):
+        is_kth_residue_ff(FFPoly.gen(11), 2, f * FFPoly.gen(11))
+    assert len(calls) == 2
 
 
 # ---------- residue test and the char-p reduction ----------
 
 def test_kth_residue_ff_examples():
-    f = IrreducibleModulus(P(3, 1, 0, 1))
+    f = P(3, 1, 0, 1)
     t = FFPoly.gen(3)
     # k = p: x -> x^p is onto, everything is a residue
     for a in residue_field(f):
@@ -219,8 +243,7 @@ def test_char_p_reduction_property():
     ks = range(1, 28)
     for p, d in [(2, 2), (2, 3), (3, 2), (3, 3), (5, 1), (5, 2), (7, 2)]:
         for g in irreducibles_of_degree(p, d):
-            f = IrreducibleModulus(g)
-            elements = residue_field(f)
+            elements = residue_field(g)
             # the kth powers for every k at once, by repeated multiplication
             powers = {k: set() for k in ks}
             for x in elements:
@@ -233,9 +256,9 @@ def test_char_p_reduction_property():
                 while kp % p == 0:
                     kp //= p
                 for a in elements:
-                    got = is_kth_residue_ff(a, k, f)
+                    got = is_kth_residue_ff(a, k, g)
                     assert got == (a in powers[k]), (p, g, k, a)
-                    assert got == is_kth_residue_ff(a, kp, f)
+                    assert got == is_kth_residue_ff(a, kp, g)
 
 
 def test_frobenius_is_a_bijection():
@@ -247,7 +270,7 @@ def test_frobenius_is_a_bijection():
 
 
 def test_kth_residue_ff_validation():
-    f = IrreducibleModulus(P(3, 1, 0, 1))
+    f = P(3, 1, 0, 1)
     with pytest.raises(ValueError):
         is_kth_residue_ff(FFPoly.gen(3), 0, f)
     with pytest.raises(ValueError):
@@ -294,14 +317,14 @@ def test_ff_term_cap_is_fixed_at_24_wherever_e_is_built():
     r = tpowers(2, 25)
     # k = 1 and a degree-25 modulus: the window sums, of degree < 25, are
     # distinct residues, so the verdict reaches the permutation level
-    f = IrreducibleModulus(P(2, 1, 0, 0, 1, *[0] * 21, 1))  # t^25 + t^3 + 1
+    f = P(2, 1, 0, 0, 1, *[0] * 21, 1)  # t^25 + t^3 + 1
     # mod t^2 + 1 over F_3 the first windows already fail, and the cap is
     # still checked on entry
     for call in (lambda: ff_subset_sums(r),
                  lambda: ff_is_sum_distinct(r),
                  lambda: ff_is_permutation_chain(r, 1, f),
                  lambda: ff_is_permutation_chain(tpowers(3, 25), 2,
-                                                 IrreducibleModulus(P(3, 1, 0, 1))),
+                                                 P(3, 1, 0, 1)),
                  lambda: find_chain_irreducibles(r, 1, 2, 1)):
         with pytest.raises(SizeLimitError, match="cap of 24 terms"):
             call()
@@ -415,7 +438,7 @@ def test_find_chain_irreducibles_char_power_case():
     sums = list(ff_subset_sums(r))
     expected = [f for d in range(1, 5) for f in irreducibles_of_degree(3, d)
                 if len({s % f for s in sums}) == 7]
-    assert [m.f for m in got] == expected
+    assert got == expected
     # degree 1 and 2 residue rings are too small / collide; degrees 3 and 4
     # work in full: 8 + 18 moduli
     assert len(got) == 26
@@ -426,15 +449,15 @@ def test_find_chain_irreducibles_f5_k2_low_degree():
     # independently verified: t^2+t+1 is the unique degree <= 2 modulus over
     # F_5 making 1, t, t^2 a permutation chain of squares
     got = find_chain_irreducibles(tpowers(5, 3), 2, 5, 2)
-    assert [m.f for m in got] == [P(5, 1, 1, 1)]
+    assert got == [P(5, 1, 1, 1)]
     squares = brute_kth_powers(got[0], 2)
     sums = ff_subset_sums(tpowers(5, 3))
-    assert all(s % got[0].f in squares for s in sums)
+    assert all(s % got[0] in squares for s in sums)
 
 
 def test_find_chain_irreducibles_ordering_and_verification():
     got = find_chain_irreducibles(tpowers(3, 3), 2, 3, 4)
-    keys = [(m.degree, m.f.coeffs[::-1]) for m in got]
+    keys = [(m.degree, m.coeffs[::-1]) for m in got]
     assert keys == sorted(keys)
     # every returned modulus passes the full verdict
     for m in got[:6]:
@@ -529,7 +552,7 @@ def test_find_chain_irreducibles_matches_a_schoolbook_residue_oracle():
                 continue  # not sum-distinct: draw again
             checked += 1
             r = [FFPoly(p, tuple(t)) for t in terms]
-            found = {k: {mod.f for mod in find_chain_irreducibles(r, k, p, top)} for k in ks}
+            found = {k: set(find_chain_irreducibles(r, k, p, top)) for k in ks}
             for f, powers, reduce in fields:
                 residues = [reduce(s) for s in sums]
                 distinct = len(set(residues)) == len(residues)

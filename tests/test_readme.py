@@ -1,21 +1,30 @@
-"""The README's library quick start runs as written.
+"""The README's library quick start and command-line examples run as
+written.
 
-Each expression statement in its python blocks carries its value as a
-comment, on the same line or the next one; the test computes the value and
-compares its repr with that comment, so a change in either shows here.
+Each expression statement in the quick start's python blocks carries its
+value as a comment, on the same line or the next one; the test computes the
+value and compares its repr with that comment, so a change in either shows
+here.  Each `powerchains` line of the command-line block runs through
+`cli.main` and must exit 0 or 1 (a negative answer), never 2.
 """
 
 import ast
 import re
+import shlex
 from pathlib import Path
+
+from powerchains import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def section(title):
+    text = README.read_text().split(f"## {title}\n", 1)[1]
+    return text.split("\n## ", 1)[0]
+
+
 def quick_start_blocks():
-    section = README.read_text().split("## Library quick start\n", 1)[1]
-    section = section.split("\n## ", 1)[0]
-    return re.findall(r"```python\n(.*?)```", section, re.S)
+    return re.findall(r"```python\n(.*?)```", section("Library quick start"), re.S)
 
 
 def stated_value(lines, node):
@@ -47,3 +56,20 @@ def test_readme_quick_start_runs_as_written():
     # the verdict, the five primes, the exceptional primes, the predicted
     # density, the counts and the F_5 modulus
     assert len(checked) == 6, checked
+
+
+def test_readme_cli_examples_run_as_written(capsys):
+    block = re.search(r"```\n(powerchains .*?)```", section("Command-line interface"),
+                      re.S).group(1)
+    lines = block.splitlines()
+    # one line per command in the table above the block
+    assert len(lines) == 7, lines
+    codes = {}
+    for line in lines:
+        argv = shlex.split(line)
+        assert argv[0] == "powerchains", line
+        codes[argv[1]] = cli.main(argv[1:])
+        assert capsys.readouterr().out
+    # 1, 2, 4 is not a chain of squares mod 7, and 1 + 2 = 3 collides
+    assert codes == {"verify": 1, "candidate-check": 1, "search": 0, "density": 0,
+                     "exceptional": 0, "ff-verify": 0, "ff-search": 0}
