@@ -171,17 +171,20 @@ def _small_primes(bound: int) -> tuple[list[int], list[int]]:
     return _small_prime_cache, _small_prime_products
 
 
-def _block_divisors(n: int, bound: int):
+def _block_divisors(n: int, bound: int, table=None):
     """Yield (first, divisors) for each block of _BLOCK_PRIMES consecutive
     primes whose first prime is at most min(bound, TRIAL_DIVISION_LIMIT):
     `first` is that prime and `divisors` lists, ascending, the block's primes
     that divide n.  Together the blocks hold every prime up to that bound.
+    A `table` (primes, products) of some other ascending list of primes and
+    the products of its blocks stands in for the small primes, and then the
+    bound alone stops the blocks.
 
     One gcd of n with the block's product tests a whole block; its primes
     are tried one by one only when that gcd exceeds 1, and only until they
     account for it.
     """
-    primes, products = _small_primes(min(bound, TRIAL_DIVISION_LIMIT))
+    primes, products = table or _small_primes(min(bound, TRIAL_DIVISION_LIMIT))
     for start, product in zip(range(0, len(primes), _BLOCK_PRIMES), products):
         if primes[start] > bound:
             return
@@ -261,8 +264,19 @@ def factor(n: int) -> Factorization:
     sign = 1
     if n < 0:
         sign, n = -1, -n
+    found, n = _strip(n, _block_divisors(n, isqrt(n)))
+    for q in _split(n):
+        found[q] = found.get(q, 0) + 1
+    return Factorization(sign, tuple(sorted(found.items())))
+
+
+def _strip(n: int, blocks) -> tuple[dict[int, int], int]:
+    """(exponents, rest): n >= 1 divided by every prime that the (first,
+    divisors) `blocks` of `_block_divisors(n, ...)` find, with the exponent
+    of each, ascending, until a block's first prime exceeds the square root
+    of the rest, which then has no prime factor in the blocks left."""
     found: dict[int, int] = {}
-    for first, divisors in _block_divisors(n, isqrt(n)):
+    for first, divisors in blocks:
         if first * first > n:
             break  # n has no prime factor below first, so it is 1 or prime
         for p in divisors:
@@ -271,9 +285,7 @@ def factor(n: int) -> Factorization:
                 n //= p
                 e += 1
             found[p] = e
-    for q in _split(n):
-        found[q] = found.get(q, 0) + 1
-    return Factorization(sign, tuple(sorted(found.items())))
+    return found, n
 
 
 def _prime_divisors(values: list[int], limit: int | None) -> set[int]:
@@ -306,6 +318,31 @@ def _prime_divisors(values: list[int], limit: int | None) -> set[int]:
                 g = gcd(d, g)
             primes.update(_split(d))
     return primes if limit is None else {p for p in primes if p <= limit}
+
+
+def _factorizations(values) -> list[tuple[tuple[int, int], ...]]:
+    """The prime factorizations of the positive integers `values`, in their
+    order, each as ascending (prime, exponent) pairs, from one batch.
+
+    `_prime_divisors` finds every prime that divides some value at once.
+    Each value is then trial-divided by those primes alone, in blocks of
+    _BLOCK_PRIMES with one gcd each, until the first prime of a block
+    exceeds the square root of what is left; what is left is then 1 or a
+    prime.  A cofactor that can be neither split nor certified raises the
+    OverflowLimitError of `is_prime`, as in `factor`.
+    """
+    for n in values:
+        _check_width(n)
+    primes = sorted(_prime_divisors(sorted(set(values)), None))
+    table = primes, [prod(primes[i:i + _BLOCK_PRIMES])
+                     for i in range(0, len(primes), _BLOCK_PRIMES)]
+    out = []
+    for n in values:
+        found, n = _strip(n, _block_divisors(n, isqrt(n), table))
+        if n > 1:
+            found[n] = 1
+        out.append(tuple(found.items()))
+    return out
 
 
 def euler_phi(n: int) -> int:

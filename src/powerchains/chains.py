@@ -35,6 +35,15 @@ from p and k: int64 square-and-multiply whenever p < 2^31 (so products of
 residues stay below 2^62) and k < 2^63, with an element of E beyond
 +/-2^62 reduced mod p as a Python int before it is cast back to int64;
 otherwise the same loop runs over object arrays with Python's pow.
+
+Condition 2 runs on the survivors at or below the spread, in batches of at
+most 2^15 cells (primes x 2^m).  The terms are reduced mod each prime (a
+term beyond +/-2^62 as a Python int), and the subset sums are doubled term
+by term into a uint64 array, each new sum s brought below p by one
+conditional subtraction, min(s, s - p) in wrapping uint64 arithmetic; both
+summands lie below p < 2^63, so this is exact.  Each row, without the empty
+sum, is sorted, and a row with two equal neighbours is a collision.  On a
+sum-distinct candidate those 2^m - 1 sums are E itself.
 """
 
 from __future__ import annotations
@@ -200,9 +209,10 @@ def _powmod64(a, e, p):
 
 
 def _residue_survivors(values, k: int, primes):
-    """The list of primes of the int64 array `primes` at which every element
-    of the sorted subset-sum set `values` is a kth power residue.  Elements
-    0 and 1 are residues mod every prime and cost nothing.
+    """The int64 array of the primes of the int64 array `primes` at which
+    every element of the sorted subset-sum set `values` is a kth power
+    residue.  Elements 0 and 1 are residues mod every prime and cost
+    nothing.
 
     The arithmetic is int64 for the primes below 2^31 when k < 2^63; an
     element beyond +/-2^62 is then reduced as a Python int first.  The other
@@ -212,15 +222,15 @@ def _residue_survivors(values, k: int, primes):
 
     cut = int(primes.searchsorted(_INT64_PRIMES)) if k < 2**63 else 0
     if 0 < cut < len(primes):  # a slice across 2^31: each side by its rule
-        return (_residue_survivors(values, k, primes[:cut])
-                + _residue_survivors(values, k, primes[cut:]))
+        return np.concatenate((_residue_survivors(values, k, primes[:cut]),
+                               _residue_survivors(values, k, primes[cut:])))
     if cut:  # every prime below 2^31
-        k, power = np.int64(k), _powmod64
+        q, k, power = primes, np.int64(k), _powmod64
     else:
-        primes, power = primes.astype(object), np.frompyfunc(pow, 3, 1)
-    g = np.gcd(primes - 1, k)
+        q, power = primes.astype(object), np.frompyfunc(pow, 3, 1)
+    g = np.gcd(q - 1, k)
     alive = np.flatnonzero(g > 1)  # g = 1: every element is a residue
-    p = primes[alive]
+    p = q[alive]
     e = (p - 1) // g[alive]
     for c in values:
         if not p.size:
@@ -235,13 +245,59 @@ def _residue_survivors(values, k: int, primes):
         alive, p, e = alive[keep], p[keep], e[keep]
     passed = g == 1
     passed[alive] = True
-    return primes[passed].tolist()
+    return primes[passed]
+
+
+def _sums_distinct(terms, primes):
+    """A bool array: whether the 2^m - 1 nonempty subset sums of `terms`
+    are pairwise distinct mod each prime of the int64 array `primes`, at
+    most 2^15 cells' worth (primes x 2^m, or one prime).
+
+    The sums are doubled term by term into a uint64 array; each new sum s
+    is below 2p < 2^64, and min(s, s - p) subtracts p exactly when s >= p
+    (below p, s - p wraps past 2^64), so every p < 2^63 is exact.  Column
+    0, the empty sum, is left out of the sort that brings equal sums side by
+    side.
+    """
+    import numpy as np
+
+    q = primes.astype(np.uint64)[:, None]
+    sums = np.zeros((len(primes), 1 << len(terms)), dtype=np.uint64)
+    for j, t in enumerate(terms):
+        if -_INT64_VALUES <= t <= _INT64_VALUES:
+            a = t % primes
+        else:
+            a = (t % primes.astype(object)).astype(np.int64)
+        new = sums[:, 1 << j:2 << j]
+        np.add(sums[:, :1 << j], a.astype(np.uint64)[:, None], out=new)
+        np.minimum(new, new - q, out=new)
+    rows = sums[:, 1:]
+    rows.sort(axis=1)
+    return (rows[:, 1:] != rows[:, :-1]).all(axis=1)
+
+
+def _block_hits(terms, values, k: int, primes, spread: int) -> list[int]:
+    """The permutation-chain primes among `primes`, an int64 array of
+    primes >= |E| of a sum-distinct candidate, as a list: the residue filter
+    runs on slices of at most 2^15 primes, and its survivors at or below the
+    spread reach the distinctness check in batches of at most 2^15 cells."""
+    import numpy as np
+
+    hits = np.concatenate([primes[:0]] + [
+        _residue_survivors(values, k, primes[i:i + _SLICE])
+        for i in range(0, len(primes), _SLICE)])
+    keep = np.ones(len(hits), dtype=bool)  # above the spread E stays distinct
+    cut = int(hits.searchsorted(spread, "right"))
+    rows = max(1, _SLICE >> len(terms))
+    for i in range(0, cut, rows):
+        j = min(i + rows, cut)
+        keep[i:j] = _sums_distinct(terms, hits[i:j])
+    return hits[keep].tolist()
 
 
 def _scan(r, k: int, lo: int, hi: int, *, sweep: bool = False):
     """(number of primes, permutation-chain primes) for each prime block of
-    [lo, hi], with E built once; the blocks reach the residue filter in
-    slices of at most 2^15 primes.
+    [lo, hi], with E built once.
 
     A candidate that is not sum-distinct admits no permutation-chain prime
     at all: its blocks are swept, with no hits, only when `sweep` is set (to
@@ -253,13 +309,11 @@ def _scan(r, k: int, lo: int, hi: int, *, sweep: bool = False):
     if not sd and not sweep:
         return
     values = sorted(values)
-    n, spread = len(values), values[-1] - values[0]
+    # the spread is capped at the int64 maximum, which no sieved prime exceeds
+    n, spread = len(values), min(values[-1] - values[0], 2**63 - 1)
     for block in arith.prime_blocks(lo, hi):
         live = block[block >= n] if sd else block[:0]  # p < |E|: pigeonhole
-        hits = [p for i in range(0, len(live), _SLICE)
-                for p in _residue_survivors(values, k, live[i:i + _SLICE])]
-        yield len(block), [p for p in hits
-                           if p > spread or len({c % p for c in values}) == n]
+        yield len(block), _block_hits(terms, values, k, live, spread)
 
 
 def chain_primes_in_range(r, k: int, lo: int, hi: int) -> list[int]:

@@ -13,9 +13,11 @@ G is an abelian group of exponent dividing k; each generator is recorded as a
 vector of exponents mod k, indexed by the primes appearing in its
 factorization plus a sign coordinate (-1 has order 2 in Q*/(Q*)^k for even k,
 encoded as the value k/2 so that plain mod-k addition is the group law).
-|G| comes from one row-echelon pass over Z on these sparse vectors, with
-kZ^n kept implicit and every entry off the pivot reduced mod k; each pivot
-d divides k and contributes k/d, for prime and composite k alike.
+The elements of E are factored in one batch, which finds every prime that
+divides some element before any element is split.  |G| comes from one
+row-echelon pass over Z on these sparse vectors, with kZ^n kept implicit
+and every entry off the pivot reduced mod k; each pivot d divides k and
+contributes k/d, for prime and composite k alike.
 
 For k = 2 the bound is exact: a is a square mod p iff p splits in Q(sqrt a),
 so chain primes for k = 2 are exactly the split-completely primes outside the
@@ -56,21 +58,26 @@ def exponent_vector(a: int, k: int) -> tuple[tuple[int, int], ...]:
     trivial class.  The factorization exponents are reduced mod k; for even
     k a negative sign contributes k/2 on the -1 coordinate (so that twice
     the sign coordinate vanishes), while for odd k the sign is itself a kth
-    power and drops out.
+    power and drops out.  The factorization is `class_group`'s batch, of
+    one element.
     """
+    a = index(a)
     if a == 0:
         raise ValueError("0 has no class modulo kth powers")
     _subsets.check_k(k)
+    return _exponent_vectors([a], k)[0]
+
+
+def _exponent_vectors(elements: list[int], k: int) -> list[tuple]:
+    """The `exponent_vector` of each nonzero integer of `elements`, in their
+    order, with every element factored in one batch
+    (`arith._factorizations`); for k = 1 nothing is factored."""
     if k == 1:
-        return ()
-    coords = []
-    if a < 0 and k % 2 == 0:
-        coords.append((-1, k // 2))
-    f = arith.factor(a)
-    for p, e in f.factors:
-        if e % k:
-            coords.append((p, e % k))
-    return tuple(coords)
+        return [()] * len(elements)
+    sign = ((-1, k // 2),) if k % 2 == 0 else ()
+    factorizations = arith._factorizations([abs(c) for c in elements])
+    return [(sign if c < 0 else ()) + tuple((p, e % k) for p, e in f if e % k)
+            for c, f in zip(elements, factorizations)]
 
 
 def _subgroup_order(rows, k: int) -> int:
@@ -119,15 +126,18 @@ def class_group(E, k: int) -> KummerClassGroup:
     """Class group data for a subset-sum set (or any iterable of integers).
 
     The generators are the exponent vectors of the nonzero elements, in
-    ascending order of the element.  Zero elements generate nothing (0 is a
-    residue at every prime) and are excluded but counted.  The order is
-    computed by one gcd elimination over the lifted integer matrix: the
-    sparse exponent vectors are reduced mod k against pivots that each
-    divide k, so composite k needs no split into prime powers.
+    ascending order of the element.  All of them are factored in one batch:
+    one trial division of chunk products finds every prime that divides
+    some element, and each element is then divided by those primes alone.
+    Zero elements generate nothing (0 is a residue at every prime) and are
+    excluded but counted.  The order is computed by one gcd elimination
+    over the lifted integer matrix: the sparse exponent vectors are reduced
+    mod k against pivots that each divide k, so composite k needs no split
+    into prime powers.
     """
     _subsets.check_k(k)
     elements = sorted(set(map(index, E)))
-    gens = tuple(exponent_vector(c, k) for c in elements if c)
+    gens = tuple(_exponent_vectors([c for c in elements if c], k))
     positions = tuple(sorted({pos for g in gens for pos, _ in g}))
     order = _subgroup_order(gens, k)
     zeros = len(elements) - len(gens)

@@ -1,6 +1,7 @@
 import random
 import time
 from itertools import permutations
+from math import gcd
 
 import pytest
 
@@ -506,6 +507,85 @@ def test_scan_past_the_int64_residue_filter_matches_the_verifier():
                     (len(near), len(want)), (r, k, lo)
                 if k == 2 and r == [1, 2, 4] and lo < 2**31:
                     assert min(want) < 2**31 < max(want)
+
+
+def test_distinctness_batches_match_the_verifier_where_distinctness_decides():
+    # at k = 1, and at odd k mod a prime with gcd(k, p - 1) = 1, every
+    # element of E is a residue, so below the spread only the distinctness
+    # of E mod p separates hits from misses.  Signed candidates of 2-7
+    # terms, some beyond +/-2^62 and +/-2^64, are scanned to 3000; near 2^32
+    # (p >= 2^31) collisions are planted: subset sums that differ by a
+    # product of two window primes.  A window prime also divides the full
+    # sum, which then collides with no other sum, since the empty sum is not
+    # in E (any smaller sum of 0 mod p would: S and S + {r} differ by it)
+    rng = random.Random(20)
+
+    def signed_terms(m, sizes=(2**20, 2**40, 2**63, 2**65)):
+        while True:
+            r = [rng.choice((1, -1)) * rng.randrange(1, rng.choice(sizes))
+                 for _ in range(m)]
+            if is_sum_distinct(r):
+                return r
+
+    def check(r, k, lo, hi):
+        primes = arith.primes_in_range(lo, hi).tolist()
+        want = [p for p in primes if is_permutation_chain(r, k, p).is_permutation]
+        assert chain_primes_in_range(r, k, lo, hi) == want, (r, k, lo)
+        spread = max(subset_sums(r)) - min(subset_sums(r))
+        decided = [p for p in primes if gcd(k, p - 1) == 1 and 2**len(r) <= p <= spread]
+        return {p for p in decided if p in want}, {p for p in decided if p not in want}
+
+    hits, misses = set(), set()
+    for m in range(2, 8):
+        r = signed_terms(m)
+        for k in (1, 3):
+            h, x = check(r, k, 2, 3000)
+            hits |= h
+            misses |= x
+    assert len(hits) > 100 and len(misses) > 100
+
+    lo, hi = 2**32, 2**32 + 2 * 10**4
+    window = arith.primes_in_range(lo, hi).tolist()
+    while True:
+        r1, r2, r3 = signed_terms(3, sizes=(2**65,))
+        # r1 and r2 wrap past p when added, so the collision of {r1, r2} with
+        # {r4} shows only once each sum is reduced mod p
+        p1, p2 = rng.sample([p for p in window if r1 % p + r2 % p >= p], 2)
+        p3, p4, p5 = rng.sample(window, 3)
+        r = [r1, r2, r3, r1 + r2 - p1 * p2, r1 - r3 + p3 * p4,
+             -rng.randrange(2**62, 2**64)]
+        r.append(p5 * rng.randrange(2**30, 2**33) - sum(r))
+        if is_sum_distinct(r):
+            break
+    for cand in (r, [-t for t in reversed(r)]):
+        h, x = check(cand, 3, lo, hi)
+        assert h and x, cand
+        h, x = check(cand, 1, lo, hi)
+        assert p5 in h and {p1, p2, p3, p4} <= x, (cand, p1, p2, p3, p4, p5)
+
+
+def test_scan_matches_the_verifier_on_drawn_candidates():
+    # a bounded property test: signed candidates of 1-6 terms, small (so
+    # that many are not sum-distinct), near 2^20, or past +/-2^62 and
+    # +/-2^64, at every k from 1 to 12; the examples are derandomized, so
+    # every run draws the same ones
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    limit = 3000
+    primes = arith.primes_up_to(limit).tolist()
+    term = st.one_of(st.integers(-60, 60), st.integers(-2**21, 2**21),
+                     st.integers(-2**66, 2**66))
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.lists(term, min_size=1, max_size=6), st.integers(1, 12))
+    def scan_matches(r, k):
+        want = [p for p in primes if is_permutation_chain(r, k, p).is_permutation]
+        assert find_chain_primes(r, k, limit) == want
+        assert chain_primes_in_range(r, k, 2, 1500) + \
+            chain_primes_in_range(r, k, 1501, limit) == want
+
+    scan_matches()
 
 
 def test_find_chain_primes_rejects_bad_k():

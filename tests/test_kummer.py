@@ -4,7 +4,9 @@ from math import sqrt
 
 import pytest
 
+from powerchains.arith import factor
 from powerchains.chains import subset_sums, vegh_sequence
+from powerchains.errors import OverflowLimitError
 from powerchains.kummer import (
     DensityReport,
     class_group,
@@ -141,6 +143,54 @@ def test_elimination_matches_bfs_on_raw_vectors():
         expected = subgroup_order_bfs([v for v in vectors if n], k) if n else 1
         assert _subgroup_order([enumerate(v) for v in vectors], k) == expected, \
             (k, n, vectors)
+
+
+def test_class_group_generators_are_the_per_element_exponent_vectors():
+    # class_group factors all of E in one batch and reads each vector off
+    # the primes it found; exponent_vector factors its element alone, and
+    # arith.factor is the independent oracle.  The 48-64-bit elements share
+    # primes above 10^6 or carry a square factor, and some are negative
+    rng = random.Random(21)
+    shared = (1000003, 1000033, 2**31 - 1, 4294967291)
+
+    def between(lo, hi, d):  # a multiple of d in [lo, hi)
+        return d * rng.randrange(-(-lo // d), hi // d)
+
+    E = set(subset_sums([1000003 * rng.randrange(2**27, 2**30) for _ in range(4)]))
+    for _ in range(12):
+        square = rng.choice((rng.randrange(2, 2**8), rng.choice(shared[:2])))**2
+        for c in (between(2**47, 2**64, rng.choice(shared)),
+                  between(2**47, 2**64, square), rng.randrange(2**47, 2**64)):
+            E.add(rng.choice((1, -1)) * c)
+    elements = sorted(c for c in E if c)
+    assert any(c < 0 for c in elements) and 2**63 < max(map(abs, elements)) < 2**64
+    factors = {c: factor(c).factors for c in elements}
+    for k in range(1, 7):
+        sign = ((-1, k // 2),) if k % 2 == 0 else ()
+        want = tuple(
+            () if k == 1 else
+            (sign if c < 0 else ()) + tuple((p, e % k) for p, e in factors[c] if e % k)
+            for c in elements)
+        assert class_group(E, k).generators == want, k
+        assert tuple(exponent_vector(c, k) for c in elements) == want, k
+
+
+def test_uncertifiable_cofactor_raises_the_primality_bound_error():
+    # the ~2^90 terms of a `wide` candidate: the term ...231 has no prime
+    # factor up to 10^6 and lies beyond the certified bound of is_prime, so
+    # it can be neither split nor certified; the batch names it as factor()
+    # does
+    wide = (1237940039285380274899124223, 1237940039285380274899124225,
+            1237940039285380274899124231, 1237940039285380274899124243)
+    message = (r"^1237940039285380274899124231 is beyond the certified "
+               r"deterministic primality bound 3317044064679887385961981$")
+    for call in (lambda: factor(wide[2]), lambda: exponent_vector(wide[2], 2),
+                 lambda: class_group(subset_sums(wide), 2)):
+        with pytest.raises(OverflowLimitError, match=message):
+            call()
+    with pytest.raises(OverflowLimitError, match="exceeds the 128-bit"):
+        exponent_vector(-(2**130), 2)
+    assert exponent_vector(wide[2], 1) == ()  # k = 1 factors nothing
 
 
 def test_k2_order_is_two_to_the_squarefree_rank():
