@@ -7,14 +7,11 @@ class group of the subset sums modulo kth powers.
 """
 
 from powerchains.arith import (
-    Factorization,
     euler_phi,
     factor,
     is_kth_residue,
     is_prime,
-    mod_pow,
     primes_in_range,
-    primes_up_to,
 )
 from powerchains.chains import (
     ChainFailure,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, permutations
 from math import gcd
+from operator import index
 from typing import Callable
 
 from powerchains.errors import InvalidCandidateError, SizeLimitError
@@ -33,9 +34,13 @@ def check_term_cap(n_terms: int) -> None:
             f"of {MAX_TERMS} terms")
 
 
-def check_k(k: int) -> None:
+def check_k(k) -> int:
+    """k as an int >= 1: TypeError for a non-integer (`operator.index`, so
+    a float is refused, not truncated), ValueError below 1."""
+    k = index(k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    return k
 
 
 def mask_indices(mask: int) -> tuple[int, ...]:

@@ -1,5 +1,5 @@
-"""Integer primitives: modular exponentiation, primality, factorization, prime
-enumeration, and the kth-power residue test modulo a prime.
+"""Integer primitives: primality, factorization, prime enumeration, and the
+kth-power residue test modulo a prime.
 
 Conventions used throughout the package:
 
@@ -15,7 +15,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from math import gcd, isqrt, prod
 from operator import index
@@ -55,20 +54,6 @@ def _check_width(n: int, what: str = "value") -> int:
     return n
 
 
-def mod_pow(base: int, exp: int, modulus: int) -> int:
-    """base^exp mod modulus, in O(log exp) multiplications.
-
-    Raises ValueError for modulus < 2 or exp < 0.
-    """
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    if exp < 0:
-        raise ValueError(f"exponent must be nonnegative, got {exp}")
-    _check_width(base, "base")
-    _check_width(modulus, "modulus")
-    return pow(base, exp, modulus)
-
-
 def _mr_composite_witness(n: int, d: int, s: int, a: int) -> bool:
     # True if a certifies that odd n is composite; n-1 = d * 2^s with d odd.
     a %= n
@@ -88,8 +73,10 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test.
 
     Exact for every n below MR_CERTIFIED_BOUND; larger n raise
-    OverflowLimitError.  n < 2 (including negatives) returns False.
+    OverflowLimitError.  n < 2 (including negatives) returns False; a
+    non-integer n raises TypeError.
     """
+    n = index(n)
     if n < 2:
         return False
     for p in _TINY_PRIMES:
@@ -114,29 +101,9 @@ def _as_prime(p) -> int:
     """The prime modulus p as an int; TypeError for a non-integer (a float
     is refused, not truncated), ValueError when p is not prime."""
     p = index(p)
-    if p < 2 or not is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     return p
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Signed prime factorization: sign * prod(p_i^e_i).
-
-    Primes are strictly increasing; +/-1 factor to an empty list.
-    """
-
-    sign: int
-    factors: tuple[tuple[int, int], ...]
-
-    def value(self) -> int:
-        n = self.sign
-        for p, e in self.factors:
-            n *= p**e
-        return n
-
-    def __iter__(self):
-        return iter(self.factors)
 
 
 def _sieve(limit: int) -> list[int]:
@@ -251,23 +218,27 @@ def _split(n: int) -> list[int]:
     return out
 
 
-def factor(n: int) -> Factorization:
-    """Complete signed prime factorization.
+def factor(n: int) -> tuple[tuple[int, int], ...]:
+    """The prime factorization of n as (prime, exponent) pairs, ascending,
+    with (-1, 1) first when n < 0, the shape of `kummer.exponent_vector`:
+    factor(-12) == ((-1, 1), (2, 2), (3, 1)), factor(1) == (), and
+    prod(p**e for p, e in factor(n)) == n.
 
-    Trial division by blocks of the primes up to min(sqrt(|n|), 10^6), then
-    Pollard-Brent rho on whatever remains.  Raises ValueError for n = 0 and
-    OverflowLimitError beyond the supported width.
+    Trial division by blocks of the primes up to min(sqrt(|n|), 10^6),
+    stopping once a block starts past the square root of what is left, then
+    Pollard-Brent rho on whatever remains.  Raises TypeError for a
+    non-integer n, ValueError for n = 0 and OverflowLimitError beyond the
+    supported width.
     """
+    n = _check_width(index(n))
     if n == 0:
         raise ValueError("cannot factor 0")
-    _check_width(n)
-    sign = 1
-    if n < 0:
-        sign, n = -1, -n
+    sign = ((-1, 1),) if n < 0 else ()
+    n = abs(n)
     found, n = _strip(n, _block_divisors(n, isqrt(n)))
     for q in _split(n):
         found[q] = found.get(q, 0) + 1
-    return Factorization(sign, tuple(sorted(found.items())))
+    return sign + tuple(sorted(found.items()))
 
 
 def _strip(n: int, blocks) -> tuple[dict[int, int], int]:
@@ -346,13 +317,14 @@ def _factorizations(values) -> list[tuple[tuple[int, int], ...]]:
 
 
 def euler_phi(n: int) -> int:
-    """Euler's totient, via factorization.  Requires n >= 1."""
+    """Euler's totient, via factorization.  Requires an integer n >= 1."""
+    n = index(n)
     if n < 1:
         raise ValueError(f"euler_phi requires n >= 1, got {n}")
     if n == 1:
         return 1
     out = 1
-    for p, e in factor(n).factors:
+    for p, e in factor(n):
         out *= (p - 1) * p ** (e - 1)
     return out
 
@@ -408,11 +380,6 @@ def primes_in_range(lo: int, hi: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def primes_up_to(n: int) -> np.ndarray:
-    """All primes in [2, n], ascending, as an int64 array."""
-    return primes_in_range(2, n)
-
-
 def is_kth_residue(a: int, k: int, p) -> bool:
     """True iff x^k = a (mod p) is solvable, p prime.
 
@@ -420,9 +387,8 @@ def is_kth_residue(a: int, k: int, p) -> bool:
     criterion applies with the exponent reduced by d = gcd(k, p-1):
     a is a kth residue iff a^((p-1)/d) = 1 (mod p).
     """
-    _subsets.check_k(k)
+    k = _subsets.check_k(k)
     p = _as_prime(p)
-    _check_width(a, "residue candidate")
-    a %= p
+    a = _check_width(index(a), "residue candidate") % p
     e = _subsets.residue_exponent(k, p)
     return a == 0 or e is None or pow(a, e, p) == 1

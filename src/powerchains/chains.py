@@ -89,7 +89,7 @@ def _terms(r) -> tuple[int, ...]:
 
 
 def _ring(k: int, p) -> _subsets.Ring:
-    _subsets.check_k(k)
+    k = _subsets.check_k(k)
     p = arith._as_prime(p)
     return _subsets.Ring(p, k, _subsets.residue_exponent(k, p), pow, 1, None,
                          "over the integers")
@@ -304,7 +304,7 @@ def _scan(r, k: int, lo: int, hi: int, *, sweep: bool = False):
     count the primes); otherwise nothing is yielded and nothing is sieved.
     """
     terms = _terms(r)
-    _subsets.check_k(k)
+    k = _subsets.check_k(k)
     sd, values = _subsets.sum_distinct(terms)
     if not sd and not sweep:
         return
@@ -348,7 +348,9 @@ def vegh_sequence(m: int, base: int) -> tuple[int, ...]:
     construction).  Always sum-distinct: subset sums are numbers with 0/1
     digits in base `base`, which are pairwise distinct for base >= 2.
     Building stops at the first term past the 128-bit width, which the
-    candidate check then refuses, so a huge m costs no huge powers."""
+    candidate check then refuses, so a huge m costs no huge powers.  A
+    non-integer m or base raises TypeError."""
+    m, base = index(m), index(base)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if base < 2:

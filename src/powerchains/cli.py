@@ -233,8 +233,7 @@ def _build_config(ns: argparse.Namespace) -> RunConfig:
             raise ValueError(f"--workers must be >= 1, got {cfg.workers}")
 
     if hasattr(ns, "k"):
-        _subsets.check_k(ns.k)
-        cfg.k = ns.k
+        cfg.k = _subsets.check_k(ns.k)
 
     if not polynomial:
         cfg.sequence = chains._terms(

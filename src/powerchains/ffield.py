@@ -450,7 +450,7 @@ def is_irreducible(f: FFPoly) -> bool:
     f = f.monic()
     p, d = f.p, f.degree
     t = FFPoly.gen(p)
-    gcd_steps = {d // ell for ell, _ in arith.factor(d).factors}
+    gcd_steps = {d // ell for ell, _ in arith.factor(d)}
     x = t % f
     for i in range(1, d + 1):
         x = powmod(x, p, f)
@@ -550,7 +550,7 @@ def _poly_power(a: FFPoly, e: int, f: FFPoly) -> FFPoly:
 
 
 def _ring(k: int, f) -> _subsets.Ring:
-    _subsets.check_k(k)
+    k = _subsets.check_k(k)
     f = _as_modulus(f)
     exponent = _subsets.residue_exponent(_strip_char(k, f.p), f.p**f.degree)
     return _subsets.Ring(f, k, exponent, _poly_power, FFPoly.one(f.p), _sort_key,
@@ -638,7 +638,7 @@ def find_chain_irreducibles(r, k: int, p: int, max_degree: int) -> list[FFPoly]:
     _check_characteristic(p)
     if terms[0].p != p:
         raise ValueError(f"candidate lives over F_{terms[0].p}, not F_{p}")
-    _subsets.check_k(k)
+    k = _subsets.check_k(k)
     if max_degree < 1:
         raise ValueError(f"max_degree must be >= 1, got {max_degree}")
     _check_monic_count(p, range(1, max_degree + 1))

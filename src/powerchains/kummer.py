@@ -64,7 +64,7 @@ def exponent_vector(a: int, k: int) -> tuple[tuple[int, int], ...]:
     a = index(a)
     if a == 0:
         raise ValueError("0 has no class modulo kth powers")
-    _subsets.check_k(k)
+    k = _subsets.check_k(k)
     return _exponent_vectors([a], k)[0]
 
 
@@ -135,7 +135,7 @@ def class_group(E, k: int) -> KummerClassGroup:
     mod k against pivots that each divide k, so composite k needs no split
     into prime powers.
     """
-    _subsets.check_k(k)
+    k = _subsets.check_k(k)
     elements = sorted(set(map(index, E)))
     gens = tuple(_exponent_vectors([c for c in elements if c], k))
     positions = tuple(sorted({pos for g in gens for pos, _ in g}))
@@ -153,7 +153,7 @@ def predicted_density(E, k: int) -> Fraction:
     cyclotomic field.
     """
     g = class_group(E, k)
-    return Fraction(1, arith.euler_phi(k) * g.subgroup_order)
+    return Fraction(1, arith.euler_phi(g.k) * g.subgroup_order)
 
 
 @dataclass(frozen=True)

@@ -3,21 +3,18 @@ import json
 import random
 import subprocess
 import sys
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
 from powerchains.arith import (
     MAX_VALUE,
     MR_CERTIFIED_BOUND,
-    Factorization,
     euler_phi,
     factor,
     is_kth_residue,
     is_prime,
-    mod_pow,
     primes_in_range,
-    primes_up_to,
 )
 from powerchains.errors import OverflowLimitError
 
@@ -30,34 +27,6 @@ def trial_division_primes(n):
 def kth_powers_mod(p, k):
     """Independent residue oracle: the image of x -> x^k on Z/p."""
     return {pow(x, k, p) for x in range(p)}
-
-
-# ---------- mod_pow ----------
-
-def test_mod_pow_examples():
-    assert mod_pow(2, 10, 1000) == 24
-    assert mod_pow(5, 0, 7) == 1
-    assert mod_pow(3, 4, 5) == 1
-
-
-def test_mod_pow_rejects_bad_modulus_and_exponent():
-    with pytest.raises(ValueError):
-        mod_pow(2, 3, 1)
-    with pytest.raises(ValueError):
-        mod_pow(2, 3, 0)
-    with pytest.raises(ValueError):
-        mod_pow(2, -1, 7)
-    with pytest.raises(OverflowLimitError):
-        mod_pow(2**130, 2, 7)
-
-
-def test_mod_pow_matches_builtin_on_random_inputs():
-    rng = random.Random(1)
-    for _ in range(200):
-        b = rng.randrange(-10**6, 10**6)
-        e = rng.randrange(0, 10**6)
-        m = rng.randrange(2, 10**6)
-        assert mod_pow(b, e, m) == pow(b, e, m)
 
 
 # ---------- is_prime ----------
@@ -110,10 +79,11 @@ def test_is_prime_beyond_certified_bound_raises():
 # ---------- factor ----------
 
 def test_factor_examples():
-    assert factor(12) == Factorization(1, ((2, 2), (3, 1)))
-    assert factor(-1) == Factorization(-1, ())
-    assert factor(1) == Factorization(1, ())
-    assert factor(97) == Factorization(1, ((97, 1),))
+    assert factor(12) == ((2, 2), (3, 1))
+    assert factor(-12) == ((-1, 1), (2, 2), (3, 1))
+    assert factor(-1) == ((-1, 1),)
+    assert factor(1) == ()
+    assert factor(97) == ((97, 1),)
 
 
 def test_factor_zero_rejected():
@@ -127,10 +97,10 @@ def test_factor_round_trips_to_1e5():
     for n in range(1, 10**5 + 1):
         for signed in (n, -n):
             f = factor(signed)
-            assert f.value() == signed, signed
-            assert all(e >= 1 for _, e in f.factors)
-            assert list(f.factors) == sorted(f.factors)
-            assert all(is_prime(p) for p, _ in f.factors)
+            assert prod(p**e for p, e in f) == signed, signed
+            assert all(e >= 1 for _, e in f)
+            assert list(f) == sorted(f)
+            assert all(is_prime(p) for p, _ in f if p != -1)
 
 
 def test_factor_in_a_fresh_process_grows_its_primes_as_needed():
@@ -142,11 +112,11 @@ def test_factor_in_a_fresh_process_grows_its_primes_as_needed():
                 | {999983**2, 999983 * 1000003, 1000003**2})
     script = ("import json, sys\n"
               "from powerchains.arith import factor\n"
-              "print(json.dumps([factor(n).factors for n in json.loads(sys.argv[1])]))")
+              "print(json.dumps([factor(n) for n in json.loads(sys.argv[1])]))")
     out = subprocess.run([sys.executable, "-c", script, json.dumps(ns)],
                          capture_output=True, text=True, check=True).stdout
     for n, got in zip(ns, json.loads(out)):
-        assert Factorization(1, tuple(map(tuple, got))).value() == n
+        assert prod(p**e for p, e in got) == n
         assert all(is_prime(p) for p, _ in got), n
 
 
@@ -161,7 +131,7 @@ def test_factor_matches_sympy_in_a_fresh_process():
     # children of later tests inherit.
     if importlib.util.find_spec("sympy") is None:
         pytest.skip("sympy is not installed")
-    primes = primes_up_to(1_000_100).tolist()
+    primes = primes_in_range(2, 1_000_100).tolist()
     pairs = [(primes[i - 1], primes[i]) for i in range(128, len(primes), 128)]
     pairs += [(999979, 999983), (999983, 1000003), (1000003, 1000033)]
     ns = sorted({n for p, q in pairs for n in (p * p, p * q, q * q)})
@@ -174,7 +144,7 @@ def test_factor_matches_sympy_in_a_fresh_process():
         return json.loads(subprocess.run([sys.executable, "-c", script, json.dumps(ns)],
                                          capture_output=True, text=True, check=True).stdout)
 
-    got = factorizations("from powerchains.arith import factor", "factor(n).factors")
+    got = factorizations("from powerchains.arith import factor", "factor(n)")
     want = factorizations("from sympy import factorint", "sorted(factorint(n).items())")
     for n, g, w in zip(ns, got, want, strict=True):
         assert g == w, n
@@ -182,13 +152,13 @@ def test_factor_matches_sympy_in_a_fresh_process():
 
 def test_factor_large_semiprime_and_powers():
     p, q = 1000003, 1000033
-    assert factor(p * q) == Factorization(1, ((p, 1), (q, 1)))
-    assert factor(p * p) == Factorization(1, ((p, 2),))
+    assert factor(p * q) == ((p, 1), (q, 1))
+    assert factor(p * p) == ((p, 2),)
     # rho path: semiprime with both factors above the trial-division limit
     r, s = 10000000019, 10000000033
-    assert factor(r * s) == Factorization(1, ((r, 1), (s, 1)))
-    assert factor(2**61 - 1) == Factorization(1, ((2**61 - 1, 1),))
-    assert factor(-(2**40) * 3**5).factors == ((2, 40), (3, 5))
+    assert factor(r * s) == ((r, 1), (s, 1))
+    assert factor(2**61 - 1) == ((2**61 - 1, 1),)
+    assert factor(-(2**40) * 3**5) == ((-1, 1), (2, 40), (3, 5))
 
 
 def test_euler_phi():
@@ -203,19 +173,19 @@ def test_euler_phi():
 # ---------- prime enumeration ----------
 
 def test_primes_up_to_examples():
-    assert primes_up_to(10).tolist() == [2, 3, 5, 7]
-    assert primes_up_to(1).tolist() == []
-    assert len(primes_up_to(100)) == 25
+    assert primes_in_range(2, 10).tolist() == [2, 3, 5, 7]
+    assert primes_in_range(2, 1).tolist() == []
+    assert len(primes_in_range(2, 100)) == 25
 
 
 def test_primes_up_to_agrees_with_trial_division():
-    assert primes_up_to(10**4).tolist() == trial_division_primes(10**4)
+    assert primes_in_range(2, 10**4).tolist() == trial_division_primes(10**4)
 
 
 def test_prime_counts_at_known_checkpoints():
     # 10^7 spans five sieve segments, and the base primes grow twice
-    assert len(primes_up_to(10**6)) == 78498
-    assert len(primes_up_to(10**7)) == 664579
+    assert len(primes_in_range(2, 10**6)) == 78498
+    assert len(primes_in_range(2, 10**7)) == 664579
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")

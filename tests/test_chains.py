@@ -257,7 +257,7 @@ def test_exceptional_primes_requires_sum_distinct():
 
 def test_exceptional_set_soundness():
     rng = random.Random(43)
-    small_primes = arith.primes_up_to(2000).tolist()
+    small_primes = arith.primes_in_range(2, 2000).tolist()
     done = 0
     while done < 20:
         seq = [rng.randrange(-30, 31) or 1 for _ in range(rng.randrange(1, 5))]
@@ -276,7 +276,7 @@ def test_exceptional_primes_are_exactly_the_colliding_ones():
     for seq in ([1, 2, 4], [1, 3], [2, 5, 11]):
         exc = set(exceptional_primes(seq))
         values = sorted(subset_sums(seq))
-        for p in arith.primes_up_to(max(values) + 1).tolist():
+        for p in arith.primes_in_range(2, max(values) + 1).tolist():
             collides = len({v % p for v in values}) < len(values)
             assert (p in exc) == collides, (seq, p)
 
@@ -323,7 +323,7 @@ def colliding_primes(values, limit):
     shifted = [v - min(values) for v in values]
     hi = np.array([v >> 34 for v in shifted], dtype=np.int64)
     lo = np.array([v & (2**34 - 1) for v in shifted], dtype=np.int64)
-    primes = arith.primes_up_to(limit)
+    primes = arith.primes_in_range(2, limit)
     out = []
     for i in range(0, len(primes), 2**13):
         p = primes[i:i + 2**13, None]  # one row of residues per prime
@@ -426,7 +426,7 @@ def test_one_scan_matches_the_per_modulus_verifier(monkeypatch):
     # the spread (where distinctness mod p stops being automatic) are tested
     rng = random.Random(5)
     limit = 3000
-    primes = arith.primes_up_to(limit)
+    primes = arith.primes_in_range(2, limit)
     assert len(primes) == 430
     candidates = []
     while len(candidates) < 20:
@@ -478,7 +478,7 @@ def test_scan_past_the_int64_residue_filter_matches_the_verifier():
         return [p for p in primes if is_permutation_chain(r, k, p).is_permutation]
 
     limit = 600
-    primes = arith.primes_up_to(limit).tolist()
+    primes = arith.primes_in_range(2, limit).tolist()
     cases = [([1, 2, 4], k) for k in (2**63 - 1, 2**63, 2**63 + 1, 2**70, 6 * 2**70)]
     cases += [(r, k) for r in ([1, 2, 2**70], [2**62 - 4, 1, 3], [2**62 - 3, 1, 3],
                                [-(2**100) + 3, 5, -7], [-(2**62) + 7, -3, -5])
@@ -572,7 +572,7 @@ def test_scan_matches_the_verifier_on_drawn_candidates():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     limit = 3000
-    primes = arith.primes_up_to(limit).tolist()
+    primes = arith.primes_in_range(2, limit).tolist()
     term = st.one_of(st.integers(-60, 60), st.integers(-2**21, 2**21),
                      st.integers(-2**66, 2**66))
 

@@ -1,0 +1,54 @@
+"""Every integer argument of the public API goes through `operator.index`: a
+float is refused with TypeError, not truncated, and a numpy integer gives
+the answer of the equal int."""
+
+import numpy as np
+import pytest
+
+from powerchains import arith, chains, ffield, kummer
+
+R = (1, 2, 4)
+FF_R = (ffield.FFPoly(3, (1,)), ffield.FFPoly(3, (0, 1)), ffield.FFPoly(3, (0, 0, 1)))
+FF_F = ffield.poly_from_text("GF(3)[1,1,1,1,1]")
+
+# (function, arguments, position of the integer argument under test)
+CASES = [
+    (arith.is_prime, (2**40 + 15,), 0),
+    (arith.factor, (2**40 + 15,), 0),
+    (arith.factor, (-360,), 0),
+    (arith.euler_phi, (360,), 0),
+    (arith.is_kth_residue, (2, 2, 7), 0),
+    (arith.is_kth_residue, (2, 2, 7), 1),
+    (chains.vegh_sequence, (3, 2), 0),
+    (chains.vegh_sequence, (3, 2), 1),
+    (chains.is_chain, (R, 2, 311), 1),
+    (chains.is_cyclic_chain, (R, 2, 311), 1),
+    (chains.is_permutation_chain, (R, 2, 311), 1),
+    (chains.naive_permutation_chain, (R, 2, 311), 1),
+    (chains.find_chain_primes, (R, 2, 1000), 1),
+    (chains.chain_primes_in_range, (R, 2, 2, 1000), 1),
+    (kummer.exponent_vector, (12, 2), 0),
+    (kummer.exponent_vector, (12, 2), 1),
+    (kummer.class_group, ((2, 3, 5), 2), 1),
+    (kummer.predicted_density, ((2, 3, 5), 2), 1),
+    (kummer.density_counts_in_range, (R, 2, 2, 1000), 1),
+    (kummer.density_report_from_counts, (R, 2, 1000, 168, 4), 1),
+    (kummer.empirical_density, (R, 2, 1000), 1),
+    (ffield.is_kth_residue_ff, (FF_R[1], 2, FF_F), 1),
+    (ffield.ff_is_chain, (FF_R, 2, FF_F), 1),
+    (ffield.ff_is_cyclic_chain, (FF_R, 2, FF_F), 1),
+    (ffield.ff_is_permutation_chain, (FF_R, 2, FF_F), 1),
+    (ffield.naive_ff_permutation_chain, (FF_R, 2, FF_F), 1),
+    (ffield.find_chain_irreducibles, (FF_R, 2, 3, 5), 1),
+]
+
+
+@pytest.mark.parametrize("fn,args,i", CASES,
+                         ids=[f"{fn.__name__}-{i}" for fn, _, i in CASES])
+def test_integer_argument_is_taken_through_index(fn, args, i):
+    def call(value):
+        return fn(*args[:i], value, *args[i + 1:])
+
+    with pytest.raises(TypeError):
+        call(float(args[i]))
+    assert call(np.int64(args[i])) == fn(*args)

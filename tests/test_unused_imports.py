@@ -1,0 +1,42 @@
+"""No module of the package imports a name it never uses.  A name listed in
+the module's `__all__` counts as used, and so does every import of the
+package's `__init__`, whose imports are the public API it re-exports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "powerchains"
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                # `import a.b` binds `a`
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    return [f"line {line}: {name}" for name, line in sorted(imported.items(), key=lambda x: x[1])
+            if name not in used]
+
+
+def test_the_check_sees_an_unused_import():
+    assert unused_imports("from dataclasses import dataclass\nimport os\nos.sep\n") == [
+        "line 1: dataclass"]
+    assert unused_imports("from x import a\n__all__ = ['a']\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"}),
+                         ids=lambda p: p.name)
+def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text()) == []
