@@ -11,6 +11,9 @@ Conventions used throughout the package:
   proven correct for all n < 3317044064679887385961981 (in particular for the
   full 64-bit range); asking about larger n raises OverflowLimitError rather
   than returning a probabilistic answer.
+* Factoring has one trial division, the batch `_prime_divisors`: `factor(n)`
+  is the batch of |n| alone.  `_ring`, the chain core's prime modulus, gives
+  `is_kth_residue` and the Z chain verifiers one residue predicate.
 """
 
 from __future__ import annotations
@@ -224,21 +227,17 @@ def factor(n: int) -> tuple[tuple[int, int], ...]:
     factor(-12) == ((-1, 1), (2, 2), (3, 1)), factor(1) == (), and
     prod(p**e for p, e in factor(n)) == n.
 
-    Trial division by blocks of the primes up to min(sqrt(|n|), 10^6),
-    stopping once a block starts past the square root of what is left, then
-    Pollard-Brent rho on whatever remains.  Raises TypeError for a
-    non-integer n, ValueError for n = 0 and OverflowLimitError beyond the
-    supported width.
+    The batch `_factorizations` of |n| alone: trial division by blocks of
+    the primes up to min(sqrt(|n|), 10^6), stopping once a block starts past
+    the square root of what is left, then Pollard-Brent rho on whatever
+    remains.  Raises TypeError for a non-integer n, ValueError for n = 0 and
+    OverflowLimitError beyond the supported width.
     """
     n = _check_width(index(n))
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = ((-1, 1),) if n < 0 else ()
-    n = abs(n)
-    found, n = _strip(n, _block_divisors(n, isqrt(n)))
-    for q in _split(n):
-        found[q] = found.get(q, 0) + 1
-    return sign + tuple(sorted(found.items()))
+    return sign + _factorizations([abs(n)])[0]
 
 
 def _strip(n: int, blocks) -> tuple[dict[int, int], int]:
@@ -252,42 +251,43 @@ def _strip(n: int, blocks) -> tuple[dict[int, int], int]:
             break  # n has no prime factor below first, so it is 1 or prime
         for p in divisors:
             e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
+            q, r = divmod(n, p)  # one pass over n, which may be a long product
+            while not r:
+                n, e = q, e + 1
+                q, r = divmod(n, p)
             found[p] = e
     return found, n
 
 
 def _prime_divisors(values: list[int], limit: int | None) -> set[int]:
     """The primes, at most `limit` when it is given, that divide some
-    element of `values`, an ascending list of positive integers.
+    element of `values`, an ascending list of positive integers.  The one
+    trial division of the package: `factor` and `_factorizations` start here.
 
     Trial division runs on the product of each chunk of _CHUNK_VALUES
     values (chunk by chunk, so that no product grows long), by blocks of the
     primes up to the square root of the chunk's largest value or up to the
-    limit, whichever is smaller.  Each value is then stripped, by gcds, of
-    the primes its chunk found, and what remains has only larger prime
-    factors.  When the trial division covered the limit, that remainder is
-    skipped; otherwise it is 1 or a prime below 10^12, and Pollard rho
-    splits a larger composite.
+    limit, whichever is smaller.  `_strip` divides the product by each prime
+    found and ends the chunk once a block starts past the square root of the
+    rest, which is then 1 or a prime.  The rest is the product of what the
+    found primes leave of each value, gcd(value, rest).  When the blocks
+    covered the limit, only a rest at most the limit (a prime, after an
+    early stop) is kept; otherwise each value's remainder is 1 or a prime
+    below 10^12, and Pollard rho splits a larger composite.
     """
     primes: set[int] = set()
     for i in range(0, len(values), _CHUNK_VALUES):
         chunk = values[i:i + _CHUNK_VALUES]
         bound = isqrt(chunk[-1]) if limit is None else min(isqrt(chunk[-1]), limit)
-        small = [p for _, divisors in _block_divisors(prod(chunk), bound)
-                 for p in divisors]
-        primes.update(small)
+        product = prod(chunk)
+        found, rest = _strip(product, _block_divisors(product, bound))
+        primes.update(found)
         if limit is not None and limit <= min(bound, TRIAL_DIVISION_LIMIT):
-            continue  # every prime factor of a remainder exceeds the limit
-        strip = prod(small)
-        for d in chunk:
-            g = gcd(d, strip)
-            while g > 1:
-                d //= g
-                g = gcd(d, g)
-            primes.update(_split(d))
+            if 1 < rest <= limit:  # a prime left by an early stop
+                primes.add(rest)
+        elif rest > 1:
+            for d in chunk:
+                primes.update(_split(gcd(d, rest)))
     return primes if limit is None else {p for p in primes if p <= limit}
 
 
@@ -300,7 +300,7 @@ def _factorizations(values) -> list[tuple[tuple[int, int], ...]]:
     _BLOCK_PRIMES with one gcd each, until the first prime of a block
     exceeds the square root of what is left; what is left is then 1 or a
     prime.  A cofactor that can be neither split nor certified raises the
-    OverflowLimitError of `is_prime`, as in `factor`.
+    OverflowLimitError of `is_prime`.
     """
     for n in values:
         _check_width(n)
@@ -330,7 +330,8 @@ def euler_phi(n: int) -> int:
 
 
 def prime_blocks(lo: int, hi: int):
-    """Yield numpy int64 arrays that together hold every prime in [lo, hi].
+    """Yield numpy int64 arrays that together hold every prime in [lo, hi]
+    (integers: a float bound raises TypeError).
 
     Segmented odd-only sieve; working memory stays proportional to the
     segment size, so limits around 10^8 are routine.  The base primes grow
@@ -338,7 +339,7 @@ def prime_blocks(lo: int, hi: int):
     """
     import numpy as np
 
-    lo = max(lo, 2)
+    lo, hi = max(index(lo), 2), index(hi)
     if hi < lo:
         return
     if lo <= 2 <= hi:
@@ -380,6 +381,14 @@ def primes_in_range(lo: int, hi: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
+def _ring(k: int, p) -> _subsets.Ring:
+    """The prime p as a modulus of the chain core, for kth powers."""
+    k = _subsets.check_k(k)
+    p = _as_prime(p)
+    return _subsets.Ring(p, k, _subsets.residue_exponent(k, p), pow, 1, None,
+                         "over the integers")
+
+
 def is_kth_residue(a: int, k: int, p) -> bool:
     """True iff x^k = a (mod p) is solvable, p prime.
 
@@ -387,8 +396,6 @@ def is_kth_residue(a: int, k: int, p) -> bool:
     criterion applies with the exponent reduced by d = gcd(k, p-1):
     a is a kth residue iff a^((p-1)/d) = 1 (mod p).
     """
-    k = _subsets.check_k(k)
-    p = _as_prime(p)
-    a = _check_width(index(a), "residue candidate") % p
-    e = _subsets.residue_exponent(k, p)
-    return a == 0 or e is None or pow(a, e, p) == 1
+    ring = _ring(k, p)
+    a = _check_width(index(a), "residue candidate")
+    return ring.is_residue(a % ring.modulus)

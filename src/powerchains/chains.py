@@ -88,13 +88,6 @@ def _terms(r) -> tuple[int, ...]:
     return terms
 
 
-def _ring(k: int, p) -> _subsets.Ring:
-    k = _subsets.check_k(k)
-    p = arith._as_prime(p)
-    return _subsets.Ring(p, k, _subsets.residue_exponent(k, p), pow, 1, None,
-                         "over the integers")
-
-
 def subset_sums(r) -> frozenset:
     """The set E of all nonempty subset sums of r, computed in O(2^m).
 
@@ -121,13 +114,13 @@ def is_chain(r, k: int, p) -> bool:
     """True iff the window sums of r (in the given order) are pairwise
     distinct mod p and all kth power residues mod p."""
     terms = _terms(r)
-    return _subsets.window_failure(terms, _ring(k, p), "chain") is None
+    return _subsets.window_failure(terms, arith._ring(k, p), "chain") is None
 
 
 def is_cyclic_chain(r, k: int, p) -> bool:
     """True iff every rotation of r is a chain of kth power residues mod p."""
     terms = _terms(r)
-    return _subsets.cyclic_failure(terms, _ring(k, p)) is None
+    return _subsets.cyclic_failure(terms, arith._ring(k, p)) is None
 
 
 def is_permutation_chain(r, k: int, p) -> ChainVerdict:
@@ -141,14 +134,14 @@ def is_permutation_chain(r, k: int, p) -> ChainVerdict:
     level.
     """
     terms = _terms(r)
-    return _subsets.verdict(terms, _ring(k, p))
+    return _subsets.verdict(terms, arith._ring(k, p))
 
 
 def naive_permutation_chain(r, k: int, p) -> bool:
     """Literal definition: every ordering of r is a chain mod p.  m! work;
     reference implementation for tests, m <= 8."""
     terms = _terms(r)
-    return _subsets.naive_permutation_chain(terms, _ring(k, p))
+    return _subsets.naive_permutation_chain(terms, arith._ring(k, p))
 
 
 def _differences(terms) -> list[int]:
@@ -185,6 +178,7 @@ def exceptional_primes(r, *, limit: int | None = None) -> tuple[int, ...]:
     """
     terms = _terms(r)
     _subsets.require_sum_distinct(terms)
+    limit = None if limit is None else index(limit)
     primes = arith._prime_divisors(_differences(terms), limit)
     return tuple(sorted(primes))
 
@@ -336,6 +330,8 @@ def find_chain_primes(r, k: int, limit: int, max_count: int | None = None) -> li
     no permutation-chain prime at all, so the result is then [] without any
     scan.
     """
+    limit = index(limit)
+    max_count = None if max_count is None else index(max_count)
     if max_count is not None and max_count < 1:
         raise ValueError(f"max_count must be >= 1, got {max_count}")
     # islice stops pulling blocks once it holds max_count primes

@@ -49,7 +49,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from operator import mul
+from operator import index, mul
 
 from powerchains import _subsets, arith
 from powerchains._subsets import ChainVerdict, SumDistinctResult
@@ -221,15 +221,17 @@ class FFPoly:
     Instances are normalized (coefficients reduced mod p, no trailing zeros;
     the zero polynomial has an empty coefficient tuple) and hashable, so they
     can live in sets of subset sums.  `coeffs` is a kernel tuple, and every
-    operator is computed on it by the kernel.
+    operator is computed on it by the kernel.  p and the coefficients are
+    taken through `operator.index`, so a float raises TypeError.
     """
 
     p: int
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        p = _check_characteristic(self.p)
-        object.__setattr__(self, "coeffs", _trim([c % p for c in self.coeffs]))
+        p = _check_characteristic(index(self.p))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "coeffs", _trim([index(c) % p for c in self.coeffs]))
 
     @classmethod
     def _of(cls, p: int, coeffs: tuple) -> "FFPoly":

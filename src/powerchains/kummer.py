@@ -193,6 +193,7 @@ def density_report_from_counts(r, k: int, limit: int, total: int,
     """Assemble a DensityReport from externally accumulated counts over the
     primes in [2, limit].  Its exceptional primes are those up to the limit,
     from `chains.exceptional_primes(r, limit=limit)`."""
+    limit = index(limit)
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
     terms = chains._terms(r)

@@ -250,6 +250,17 @@ def test_exceptional_primes_examples():
     assert exceptional_primes([1, 3]) == (2, 3)
 
 
+def test_exceptional_primes_keep_a_prime_left_by_an_early_stop():
+    # the differences 2^30, 733 * 2^30 and 734 * 2^30 shrink to 733 once 2
+    # and 367 are divided out, so the trial division stops before it reaches
+    # the limit, and the prime it leaves may still be at most the limit
+    r = (733 * 2**30, 734 * 2**30)
+    full = exceptional_primes(r)
+    assert full == (2, 367, 733)
+    for limit in (733, 800, 10**6):
+        assert exceptional_primes(r, limit=limit) == tuple(p for p in full if p <= limit)
+
+
 def test_exceptional_primes_requires_sum_distinct():
     with pytest.raises(InvalidCandidateError):
         exceptional_primes([1, 2, 3])

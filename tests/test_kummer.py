@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
-from math import sqrt
+from math import gcd, sqrt
 
 import pytest
 
+from powerchains import arith
 from powerchains.arith import factor
 from powerchains.chains import subset_sums, vegh_sequence
 from powerchains.errors import OverflowLimitError
@@ -88,6 +89,23 @@ def test_exponent_vector_validation():
     with pytest.raises(ValueError):
         exponent_vector(5, 0)
     assert exponent_vector(123456, 1) == ()
+
+
+def test_exponent_vector_of_a_prime_power_stops_trial_division_early(monkeypatch):
+    # once the known prime is divided out nothing is left, so the blocks of
+    # primes up to sqrt(a) stop at the next one: a few gcds, not the 600-odd
+    # blocks up to 10^6
+    calls = []
+
+    def counting_gcd(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(arith, "gcd", counting_gcd)
+    for a, want in ((2**60, ()), (3**37, ((3, 1),))):
+        calls.clear()
+        assert exponent_vector(a, 2) == want
+        assert len(calls) <= 8, a
 
 
 # ---------- class group ----------
