@@ -2,7 +2,8 @@
 """Chains over F_p[t]: the polynomial candidate 1, t, t^2 and the
 characteristic-p shortcut.
 
-Irreducible polynomials play the role of primes.  When k is divisible by the
+Irreducible polynomials play the role of primes, and the verifiers of the
+integers take a polynomial candidate and an irreducible modulus as they are.  When k is divisible by the
 characteristic p, only the prime-to-p part k' of k matters, because x -> x^p
 permutes every residue field (Frobenius); for k a power of p the residue
 condition is vacuous and only distinctness of the subset sums remains.
@@ -12,10 +13,10 @@ from collections import Counter
 
 from powerchains import (
     FFPoly,
-    ff_is_permutation_chain,
     find_chain_irreducibles,
     irreducibles_of_degree,
     is_kth_residue_ff,
+    is_permutation_chain,
     poly_to_text,
 )
 
@@ -46,5 +47,5 @@ for k in (2, 6, 18, 9):
 print("\nWith k = 9 = 3^2 every element is a residue, so any irreducible of")
 print("degree >= 3 keeps the seven subset sums distinct and is a chain modulus:")
 f3 = irreducibles_of_degree(3, 3)[0]
-v = ff_is_permutation_chain([t**0, t, t**2], 9, f3)
+v = is_permutation_chain([t**0, t, t**2], 9, f3)
 print(f"  {poly_to_text(f3)}: permutation chain = {v.is_permutation}")

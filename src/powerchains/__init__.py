@@ -34,11 +34,6 @@ from powerchains.errors import (
 )
 from powerchains.ffield import (
     FFPoly,
-    ff_is_chain,
-    ff_is_cyclic_chain,
-    ff_is_permutation_chain,
-    ff_is_sum_distinct,
-    ff_subset_sums,
     find_chain_irreducibles,
     irreducibles_of_degree,
     is_irreducible,

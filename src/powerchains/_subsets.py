@@ -1,4 +1,5 @@
-"""The chain core shared by the integer and polynomial modules.
+"""The chain core behind the one set of public verifiers in `chains`, which
+serves Z and F_p[t] alike.
 
 Subset-sum machinery works on any sequence of addable, hashable elements.
 Subsets are reported as tuples of 1-based term indices; enumeration follows
@@ -7,9 +8,10 @@ increasing bitmask order, which makes every witness reproducible.
 The chain semantics (window, cyclic and permutation verdicts, the literal
 all-orderings verifier, and the per-modulus test used by the searches) are
 written once here over a `Ring`: the few facts about one modulus m of Z or
-F_p[t] that differ between the two rings.  Values are reduced with `v % m`:
-an `int` by a prime, an `FFPoly` by a polynomial in the verifiers, and a
-kernel coefficient tuple by an `ffield._Modulus` in the F_p[t] search.
+F_p[t] that differ between the two rings, built by `arith._ring` or
+`ffield._ring` for the ring that `chains` picks.  Values are reduced with
+`v % m`: an `int` by a prime, an `FFPoly` by a polynomial in the verifiers,
+and a kernel coefficient tuple by an `ffield._Modulus` in the F_p[t] search.
 """
 
 from __future__ import annotations

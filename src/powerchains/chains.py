@@ -1,6 +1,8 @@
-"""Chains over the integers: candidates, the verifiers, exceptional primes
-and the prime scan.  The verifiers are thin wrappers over the ring-generic
-chain core in `_subsets`, which F_p[t] shares.
+"""Chains over Z and F_p[t]: one set of public verifiers for both rings, and
+over the integers the exceptional primes and the prime scan.  A verifier
+takes the modulus p as a prime of the candidate's ring, a prime int or an
+irreducible `FFPoly`; `_candidate` picks the ring, and the chain logic is the
+ring-generic core in `_subsets`.
 
 A sequence r_1..r_m is a *chain* of kth power residues mod p when its
 m(m+1)/2 consecutive-window sums are pairwise distinct mod p and every one of
@@ -51,7 +53,7 @@ from __future__ import annotations
 from itertools import islice
 from operator import index
 
-from powerchains import _subsets, arith
+from powerchains import _subsets, arith, ffield
 from powerchains._subsets import ChainFailure, ChainVerdict, SumDistinctResult
 from powerchains.errors import OverflowLimitError
 
@@ -88,6 +90,17 @@ def _terms(r) -> tuple[int, ...]:
     return terms
 
 
+def _candidate(r, p=None):
+    """The terms of r and the chain core's ring for them: F_p[t] when the
+    modulus p or the first term is an `FFPoly` (`ffield._ff_terms`,
+    `ffield._ring`), Z otherwise (`_terms`, `arith._ring`).  The ring is
+    called as ring(k, p), so the terms are checked first, then k, then p."""
+    r = tuple(r)
+    if isinstance(p, ffield.FFPoly) or r and isinstance(r[0], ffield.FFPoly):
+        return ffield._ff_terms(r), ffield._ring
+    return _terms(r), arith._ring
+
+
 def subset_sums(r) -> frozenset:
     """The set E of all nonempty subset sums of r, computed in O(2^m).
 
@@ -97,30 +110,31 @@ def subset_sums(r) -> frozenset:
     last candidate, shared because it cannot change.  Sequences of more than
     24 terms (the fixed subset-sum cap) raise SizeLimitError.
     """
-    return _subsets.sum_distinct(_terms(r))[1]
+    return _subsets.sum_distinct(_candidate(r)[0])[1]
 
 
 def is_sum_distinct(r) -> SumDistinctResult:
-    """Check the candidate condition: 2^m - 1 pairwise-distinct subset sums.
+    """Check the candidate condition: 2^m - 1 pairwise-distinct subset sums
+    (over F_p[t], distinct as polynomials).
 
     Equivalent to requiring the m(m+1)/2 window sums of every reordering to be
     distinct.  The witness, when present, is the first collision in bitmask
     order.
     """
-    return _subsets.sum_distinct(_terms(r))[0]
+    return _subsets.sum_distinct(_candidate(r)[0])[0]
 
 
 def is_chain(r, k: int, p) -> bool:
     """True iff the window sums of r (in the given order) are pairwise
     distinct mod p and all kth power residues mod p."""
-    terms = _terms(r)
-    return _subsets.window_failure(terms, arith._ring(k, p), "chain") is None
+    terms, ring = _candidate(r, p)
+    return _subsets.window_failure(terms, ring(k, p), "chain") is None
 
 
 def is_cyclic_chain(r, k: int, p) -> bool:
     """True iff every rotation of r is a chain of kth power residues mod p."""
-    terms = _terms(r)
-    return _subsets.cyclic_failure(terms, arith._ring(k, p)) is None
+    terms, ring = _candidate(r, p)
+    return _subsets.cyclic_failure(terms, ring(k, p)) is None
 
 
 def is_permutation_chain(r, k: int, p) -> ChainVerdict:
@@ -133,15 +147,15 @@ def is_permutation_chain(r, k: int, p) -> ChainVerdict:
     failure_witness describes the first violated sum of the weakest failing
     level.
     """
-    terms = _terms(r)
-    return _subsets.verdict(terms, arith._ring(k, p))
+    terms, ring = _candidate(r, p)
+    return _subsets.verdict(terms, ring(k, p))
 
 
 def naive_permutation_chain(r, k: int, p) -> bool:
     """Literal definition: every ordering of r is a chain mod p.  m! work;
     reference implementation for tests, m <= 8."""
-    terms = _terms(r)
-    return _subsets.naive_permutation_chain(terms, arith._ring(k, p))
+    terms, ring = _candidate(r, p)
+    return _subsets.naive_permutation_chain(terms, ring(k, p))
 
 
 def _differences(terms) -> list[int]:
@@ -202,6 +216,15 @@ def _powmod64(a, e, p):
         a = a * a % p
 
 
+def _mod(c: int, p):
+    """c mod each entry of the prime array p, in p's dtype.  Over int64, a c
+    beyond +/-2^62 is reduced as a Python int and cast back, so no operand
+    ever leaves the int64 range, whatever NumPy's promotion rules."""
+    if p.dtype == object or -_INT64_VALUES <= c <= _INT64_VALUES:
+        return c % p
+    return (c % p.astype(object)).astype(p.dtype)
+
+
 def _residue_survivors(values, k: int, primes):
     """The int64 array of the primes of the int64 array `primes` at which
     every element of the sorted subset-sum set `values` is a kth power
@@ -231,10 +254,7 @@ def _residue_survivors(values, k: int, primes):
             break
         if 0 <= c <= 1:
             continue
-        if p.dtype == object or -_INT64_VALUES <= c <= _INT64_VALUES:
-            a = c % p
-        else:
-            a = (c % p.astype(object)).astype(np.int64)
+        a = _mod(c, p)
         keep = (a <= 1) | (power(a, e, p) == 1)
         alive, p, e = alive[keep], p[keep], e[keep]
     passed = g == 1
@@ -258,10 +278,7 @@ def _sums_distinct(terms, primes):
     q = primes.astype(np.uint64)[:, None]
     sums = np.zeros((len(primes), 1 << len(terms)), dtype=np.uint64)
     for j, t in enumerate(terms):
-        if -_INT64_VALUES <= t <= _INT64_VALUES:
-            a = t % primes
-        else:
-            a = (t % primes.astype(object)).astype(np.int64)
+        a = _mod(t, primes)
         new = sums[:, 1 << j:2 << j]
         np.add(sums[:, :1 << j], a.astype(np.uint64)[:, None], out=new)
         np.minimum(new, new - q, out=new)
@@ -299,6 +316,7 @@ def _scan(r, k: int, lo: int, hi: int, *, sweep: bool = False):
     """
     terms = _terms(r)
     k = _subsets.check_k(k)
+    lo, hi = index(lo), index(hi)  # before any return: a float bound is refused
     sd, values = _subsets.sum_distinct(terms)
     if not sd and not sweep:
         return

@@ -372,10 +372,6 @@ def _exceptional(cfg: RunConfig) -> tuple[dict, int]:
     return {"primes": primes, "count": len(primes)}, 0
 
 
-def _ff_verify(cfg: RunConfig) -> tuple[dict, int]:
-    return _verdict(ffield.ff_is_permutation_chain(cfg.sequence, cfg.k, cfg.modulus))
-
-
 def _ff_search(cfg: RunConfig) -> tuple[dict, int]:
     moduli = ffield.find_chain_irreducibles(
         cfg.sequence, cfg.k, cfg.characteristic, cfg.max_degree)
@@ -410,7 +406,7 @@ COMMANDS = {
     "search": (_search, _prime_rows),
     "density": (_density, _density_rows),
     "exceptional": (_exceptional, _prime_rows),
-    "ff-verify": (_ff_verify, None),
+    "ff-verify": (_verify, None),
     "ff-search": (_ff_search, _moduli_rows),
 }
 

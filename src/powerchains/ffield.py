@@ -1,7 +1,8 @@
-"""Polynomial chains over F_p[t]: dense polynomial arithmetic, irreducible
-moduli, kth power residue tests, and the search for chain moduli.  Chain
-verification for polynomial candidates such as 1, t, t^2, ... goes through
-the ring-generic chain core in `_subsets`, shared with the integers.
+"""F_p[t] as a ring of chains: dense polynomial arithmetic, irreducible
+moduli, kth power residue tests, and the search for chain moduli.  No chain
+verifier lives here: the verifiers of `chains` take polynomial candidates
+such as 1, t, t^2, ... too, checked by `_ff_terms` and reduced through the
+chain core's `_ring` built here.
 
 All F_p[t] arithmetic is one kernel on coefficient tuples, lowest degree
 first, with entries in [0, p) and no trailing zeros (the zero polynomial is
@@ -52,7 +53,6 @@ from itertools import product
 from operator import index, mul
 
 from powerchains import _subsets, arith
-from powerchains._subsets import ChainVerdict, SumDistinctResult
 from powerchains.errors import SizeLimitError
 
 __all__ = [
@@ -63,12 +63,6 @@ __all__ = [
     "is_irreducible",
     "irreducibles_of_degree",
     "is_kth_residue_ff",
-    "ff_subset_sums",
-    "ff_is_sum_distinct",
-    "ff_is_chain",
-    "ff_is_cyclic_chain",
-    "ff_is_permutation_chain",
-    "naive_ff_permutation_chain",
     "find_chain_irreducibles",
     "residue_field",
     "poly_from_text",
@@ -578,6 +572,8 @@ def residue_field(f) -> list[FFPoly]:
 
 
 def _ff_terms(r) -> tuple[FFPoly, ...]:
+    """The polynomial candidate r_1..r_m, m >= 1, as a tuple of `FFPoly`
+    over one characteristic: TypeError for any other term."""
     terms = tuple(r)
     if not terms:
         raise ValueError("candidate sequence must have at least one term")
@@ -587,45 +583,6 @@ def _ff_terms(r) -> tuple[FFPoly, ...]:
     if any(t.p != p for t in terms):
         raise ValueError("candidate terms must share one characteristic")
     return terms
-
-
-def ff_subset_sums(r) -> frozenset:
-    """The set E of all nonempty subset sums of a polynomial candidate, as
-    FFPoly values (exact, in F_p[t]); shared with the chain core's cache,
-    like `chains.subset_sums`."""
-    return _subsets.sum_distinct(_ff_terms(r))[1]
-
-
-def ff_is_sum_distinct(r) -> SumDistinctResult:
-    """Candidate condition over F_p[t]: all 2^m - 1 subset sums distinct
-    as polynomials (coefficient arithmetic mod p)."""
-    return _subsets.sum_distinct(_ff_terms(r))[0]
-
-
-def ff_is_chain(r, k: int, f) -> bool:
-    """Window sums of r distinct mod f and all kth power residues."""
-    terms = _ff_terms(r)
-    return _subsets.window_failure(terms, _ring(k, f), "chain") is None
-
-
-def ff_is_cyclic_chain(r, k: int, f) -> bool:
-    """Every rotation of r is a chain mod f."""
-    terms = _ff_terms(r)
-    return _subsets.cyclic_failure(terms, _ring(k, f)) is None
-
-
-def ff_is_permutation_chain(r, k: int, f) -> ChainVerdict:
-    """Chain / cyclic / permutation verdict mod an irreducible f: the
-    permutation level is exact sum-distinctness in F_p[t] plus distinctness
-    and residueness of the subset sums mod f."""
-    terms = _ff_terms(r)
-    return _subsets.verdict(terms, _ring(k, f))
-
-
-def naive_ff_permutation_chain(r, k: int, f) -> bool:
-    """Literal all-orderings verifier; reference implementation, m <= 8."""
-    terms = _ff_terms(r)
-    return _subsets.naive_permutation_chain(terms, _ring(k, f))
 
 
 def find_chain_irreducibles(r, k: int, p: int, max_degree: int) -> list[FFPoly]:

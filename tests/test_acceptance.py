@@ -181,7 +181,7 @@ def test_c7_t_power_chains_over_function_fields():
         for k in (2, p):
             moduli = ffield.find_chain_irreducibles(r, k, p, 6)
             assert len(moduli) >= 3, (p, k, len(moduli))
-            sums = list(ffield.ff_subset_sums(r))
+            sums = list(chains.subset_sums(r))
             for m in moduli:
                 if m.degree > 3:
                     continue

@@ -4,20 +4,21 @@ from itertools import product
 import pytest
 
 from powerchains import ffield
-from powerchains.chains import is_permutation_chain
+from powerchains.chains import (
+    is_chain,
+    is_cyclic_chain,
+    is_permutation_chain,
+    is_sum_distinct,
+    naive_permutation_chain,
+    subset_sums,
+)
 from powerchains.errors import InvalidCandidateError, SizeLimitError
 from powerchains.ffield import (
     FFPoly,
-    ff_is_chain,
-    ff_is_cyclic_chain,
-    ff_is_permutation_chain,
-    ff_is_sum_distinct,
-    ff_subset_sums,
     find_chain_irreducibles,
     irreducibles_of_degree,
     is_irreducible,
     is_kth_residue_ff,
-    naive_ff_permutation_chain,
     poly_from_text,
     poly_gcd,
     poly_to_text,
@@ -278,8 +279,8 @@ def test_kth_residue_ff_validation():
     with pytest.raises(ValueError):
         is_kth_residue_ff(FFPoly.gen(3), 2, P(3, 0, 0, 1))  # reducible modulus
     r = [FFPoly.one(3), FFPoly.gen(3)]
-    for call in (ff_is_chain, ff_is_cyclic_chain, ff_is_permutation_chain,
-                 naive_ff_permutation_chain):
+    for call in (is_chain, is_cyclic_chain, is_permutation_chain,
+                 naive_permutation_chain):
         for k in (0, -3):
             with pytest.raises(ValueError):
                 call(r, k, f)
@@ -294,23 +295,42 @@ def tpowers(p, m):
     return [t**i for i in range(m)]
 
 
+T3 = FFPoly.gen(3)
+VERIFIERS = (is_chain, is_cyclic_chain, is_permutation_chain, naive_permutation_chain)
+# (function, arguments, what is mixed up): the verifiers pick the ring from
+# the modulus or the first term, and the other input must then belong to it
+CROSS_RING = (
+    [(fn, ([1, 2], 2, P(3, 1, 0, 1)), "int_terms_polynomial_modulus") for fn in VERIFIERS]
+    + [(fn, ([T3**0, T3], 2, 7), "polynomial_terms_prime_modulus") for fn in VERIFIERS]
+    + [(fn, ([1, T3],), "int_then_polynomial") for fn in (subset_sums, is_sum_distinct)]
+    + [(fn, ([T3, 1],), "polynomial_then_int") for fn in (subset_sums, is_sum_distinct)]
+)
+
+
+@pytest.mark.parametrize("fn,args", [case[:2] for case in CROSS_RING],
+                         ids=[f"{fn.__name__}-{kind}" for fn, _, kind in CROSS_RING])
+def test_inputs_from_two_rings_raise_type_error(fn, args):
+    with pytest.raises(TypeError):
+        fn(*args)
+
+
 def test_ff_sum_distinct_examples():
     for p in (2, 3, 5):
-        assert ff_is_sum_distinct(tpowers(p, 3))
+        assert is_sum_distinct(tpowers(p, 3))
     # over F_2, [1, 1] collides: subsets {1} and {2} share the sum 1
-    res = ff_is_sum_distinct([FFPoly.one(2), FFPoly.one(2)])
+    res = is_sum_distinct([FFPoly.one(2), FFPoly.one(2)])
     assert not res
     assert res.collision == ((1,), (2,))
     # constants over F_3: sums {1, 2, 0} are three distinct field elements
-    assert ff_is_sum_distinct([FFPoly.constant(3, 1), FFPoly.constant(3, 2)])
+    assert is_sum_distinct([FFPoly.constant(3, 1), FFPoly.constant(3, 2)])
 
 
-def test_ff_subset_sums():
-    sums = ff_subset_sums(tpowers(3, 3))
+def test_subset_sums_of_polynomials():
+    sums = subset_sums(tpowers(3, 3))
     assert len(sums) == 7
     assert all(s.degree <= 2 for s in sums)
     with pytest.raises(SizeLimitError):
-        ff_subset_sums(tpowers(2, 30))
+        subset_sums(tpowers(2, 30))
 
 
 def test_ff_term_cap_is_fixed_at_24_wherever_e_is_built():
@@ -320,11 +340,10 @@ def test_ff_term_cap_is_fixed_at_24_wherever_e_is_built():
     f = P(2, 1, 0, 0, 1, *[0] * 21, 1)  # t^25 + t^3 + 1
     # mod t^2 + 1 over F_3 the first windows already fail, and the cap is
     # still checked on entry
-    for call in (lambda: ff_subset_sums(r),
-                 lambda: ff_is_sum_distinct(r),
-                 lambda: ff_is_permutation_chain(r, 1, f),
-                 lambda: ff_is_permutation_chain(tpowers(3, 25), 2,
-                                                 P(3, 1, 0, 1)),
+    for call in (lambda: subset_sums(r),
+                 lambda: is_sum_distinct(r),
+                 lambda: is_permutation_chain(r, 1, f),
+                 lambda: is_permutation_chain(tpowers(3, 25), 2, P(3, 1, 0, 1)),
                  lambda: find_chain_irreducibles(r, 1, 2, 1)):
         with pytest.raises(SizeLimitError, match="cap of 24 terms"):
             call()
@@ -335,11 +354,11 @@ def test_ff_permutation_chain_char_power_k():
     # distinctness of the 7 subset sums mod f
     p = 3
     r = tpowers(p, 3)
-    sums = list(ff_subset_sums(r))
+    sums = list(subset_sums(r))
     for d in (2, 3, 4):
         for f in irreducibles_of_degree(p, d):
             expect = len({s % f for s in sums}) == 7
-            v = ff_is_permutation_chain(r, p**2, f)
+            v = is_permutation_chain(r, p**2, f)
             assert v.is_permutation == expect, f
             if d >= 3:
                 assert v.is_permutation  # low-degree sums are their own residues
@@ -355,14 +374,14 @@ def test_ff_verdict_hierarchy_and_naive_oracle():
         k = rng.randrange(1, 7)
         d = rng.randrange(1, 4)
         f = rng.choice(irreducibles_of_degree(p, d))
-        v = ff_is_permutation_chain(terms, k, f)
+        v = is_permutation_chain(terms, k, f)
         if v.is_permutation:
             assert v.is_cyclic
         if v.is_cyclic:
             assert v.is_chain
-        assert v.is_chain == ff_is_chain(terms, k, f)
-        assert v.is_cyclic == ff_is_cyclic_chain(terms, k, f)
-        assert v.is_permutation == naive_ff_permutation_chain(terms, k, f), (terms, k, f)
+        assert v.is_chain == is_chain(terms, k, f)
+        assert v.is_cyclic == is_cyclic_chain(terms, k, f)
+        assert v.is_permutation == naive_permutation_chain(terms, k, f), (terms, k, f)
 
 
 def test_constant_polynomials_agree_with_integers_mod_p():
@@ -375,7 +394,7 @@ def test_constant_polynomials_agree_with_integers_mod_p():
                 seq = [rng.randrange(-20, 21) for _ in range(rng.randrange(1, 6))]
                 f = FFPoly(p, (-rng.randrange(p), 1))
                 v = is_permutation_chain(seq, k, p)
-                w = ff_is_permutation_chain([FFPoly.constant(p, c) for c in seq], k, f)
+                w = is_permutation_chain([FFPoly.constant(p, c) for c in seq], k, f)
                 assert (w.is_chain, w.is_cyclic, w.is_permutation) == \
                     (v.is_chain, v.is_cyclic, v.is_permutation), (seq, k, p, f)
 
@@ -403,15 +422,15 @@ def test_constant_polynomials_agree_with_integers_mod_p():
 ])
 def test_ff_failure_descriptions(terms, k, modulus, level, kind, description):
     r = [poly_from_text(t) for t in terms]
-    witness = ff_is_permutation_chain(r, k, poly_from_text(modulus)).failure_witness
+    witness = is_permutation_chain(r, k, poly_from_text(modulus)).failure_witness
     assert (witness.level, witness.kind, witness.description) == (level, kind, description)
 
 
 def test_ff_permutation_chain_matches_the_naive_oracle():
     f = irreducibles_of_degree(3, 3)[0]
-    v = ff_is_permutation_chain(tpowers(3, 3), 9, f)
+    v = is_permutation_chain(tpowers(3, 3), 9, f)
     assert v.is_permutation
-    assert v.is_permutation == naive_ff_permutation_chain(tpowers(3, 3), 9, f)
+    assert v.is_permutation == naive_permutation_chain(tpowers(3, 3), 9, f)
 
 
 def test_ff_permutation_invariance():
@@ -423,9 +442,9 @@ def test_ff_permutation_invariance():
                  for _ in range(3)]
         k = rng.randrange(1, 5)
         f = rng.choice(irreducibles_of_degree(p, rng.randrange(1, 4)))
-        base = ff_is_permutation_chain(terms, k, f).is_permutation
+        base = is_permutation_chain(terms, k, f).is_permutation
         for order in perms(terms):
-            assert ff_is_permutation_chain(list(order), k, f).is_permutation == base
+            assert is_permutation_chain(list(order), k, f).is_permutation == base
 
 
 # ---------- search over irreducibles ----------
@@ -435,7 +454,7 @@ def test_find_chain_irreducibles_char_power_case():
     # the 7 subset sums distinct; an exhaustive filter is the oracle
     r = tpowers(3, 3)
     got = find_chain_irreducibles(r, 3, 3, 4)
-    sums = list(ff_subset_sums(r))
+    sums = list(subset_sums(r))
     expected = [f for d in range(1, 5) for f in irreducibles_of_degree(3, d)
                 if len({s % f for s in sums}) == 7]
     assert got == expected
@@ -451,7 +470,7 @@ def test_find_chain_irreducibles_f5_k2_low_degree():
     got = find_chain_irreducibles(tpowers(5, 3), 2, 5, 2)
     assert got == [P(5, 1, 1, 1)]
     squares = brute_kth_powers(got[0], 2)
-    sums = ff_subset_sums(tpowers(5, 3))
+    sums = subset_sums(tpowers(5, 3))
     assert all(s % got[0] in squares for s in sums)
 
 
@@ -461,7 +480,7 @@ def test_find_chain_irreducibles_ordering_and_verification():
     assert keys == sorted(keys)
     # every returned modulus passes the full verdict
     for m in got[:6]:
-        assert ff_is_permutation_chain(tpowers(3, 3), 2, m).is_permutation
+        assert is_permutation_chain(tpowers(3, 3), 2, m).is_permutation
 
 
 def test_t_power_candidates_always_find_moduli():
@@ -477,7 +496,7 @@ def test_t_power_candidates_always_find_moduli():
                     if found:
                         break
                 assert found, (p, m, k)
-                assert ff_is_permutation_chain(r, k, found[0]).is_permutation
+                assert is_permutation_chain(r, k, found[0]).is_permutation
 
 
 def test_find_chain_irreducibles_rejects_non_sum_distinct():

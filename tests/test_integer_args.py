@@ -22,7 +22,10 @@ def exceptional_primes(r, limit):
     return chains.exceptional_primes(r, limit=limit)
 
 
-# (function, arguments, position of the integer argument under test)
+# (function, arguments, position of the integer argument under test), and a
+# prefix of the test id for a second row of the same function and position:
+# "ff_" for a verifier over F_p[t], "not_sum_distinct_" for a candidate that
+# admits no chain prime, so the scan stops before it sieves
 CASES = [
     (primes_in_range, (2, 30), 0),
     (primes_in_range, (2, 30), 1),
@@ -44,6 +47,8 @@ CASES = [
     (chains.chain_primes_in_range, (R, 2, 2, 1000), 1),
     (chains.chain_primes_in_range, (R, 2, 2, 1000), 2),
     (chains.chain_primes_in_range, (R, 2, 2, 1000), 3),
+    (chains.chain_primes_in_range, ((1, 2, 3), 2, 2, 1000), 2, "not_sum_distinct_"),
+    (chains.chain_primes_in_range, ((1, 2, 3), 2, 2, 1000), 3, "not_sum_distinct_"),
     (exceptional_primes, (R, 100), 1),
     (kummer.exponent_vector, (12, 2), 0),
     (kummer.exponent_vector, (12, 2), 1),
@@ -56,16 +61,20 @@ CASES = [
     (kummer.density_report_from_counts, (R, 2, 1000, 168, 4), 2),
     (kummer.empirical_density, (R, 2, 1000), 1),
     (ffield.is_kth_residue_ff, (FF_R[1], 2, FF_F), 1),
-    (ffield.ff_is_chain, (FF_R, 2, FF_F), 1),
-    (ffield.ff_is_cyclic_chain, (FF_R, 2, FF_F), 1),
-    (ffield.ff_is_permutation_chain, (FF_R, 2, FF_F), 1),
-    (ffield.naive_ff_permutation_chain, (FF_R, 2, FF_F), 1),
+    (chains.is_chain, (FF_R, 2, FF_F), 1, "ff_"),
+    (chains.is_cyclic_chain, (FF_R, 2, FF_F), 1, "ff_"),
+    (chains.is_permutation_chain, (FF_R, 2, FF_F), 1, "ff_"),
+    (chains.naive_permutation_chain, (FF_R, 2, FF_F), 1, "ff_"),
     (ffield.find_chain_irreducibles, (FF_R, 2, 3, 5), 1),
 ]
 
 
-@pytest.mark.parametrize("fn,args,i", CASES,
-                         ids=[f"{fn.__name__}-{i}" for fn, _, i in CASES])
+def case_id(fn, args, i, prefix=""):
+    return f"{prefix}{fn.__name__}-{i}"
+
+
+@pytest.mark.parametrize("fn,args,i", [case[:3] for case in CASES],
+                         ids=[case_id(*case) for case in CASES])
 def test_integer_argument_is_taken_through_index(fn, args, i):
     def call(value):
         return fn(*args[:i], value, *args[i + 1:])

@@ -54,8 +54,8 @@ def test_readme_quick_start_runs_as_written():
             else:
                 exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
     # the verdict, the five primes, the exceptional primes, the predicted
-    # density, the counts and the F_5 modulus
-    assert len(checked) == 6, checked
+    # density, the counts, the F_5 modulus and its verdict
+    assert len(checked) == 7, checked
 
 
 def test_readme_cli_examples_run_as_written(capsys):
