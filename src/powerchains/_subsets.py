@@ -101,8 +101,10 @@ class SumDistinctResult:
         return self.distinct
 
 
-def sum_distinct(terms) -> tuple[SumDistinctResult, frozenset]:
-    """The candidate condition together with the subset-sum set E it builds.
+@lru_cache(maxsize=1)
+def sum_distinct(terms: tuple) -> tuple[SumDistinctResult, frozenset]:
+    """The candidate condition together with the subset-sum set E it builds,
+    for the tuple `terms`.
 
     E is returned either way; it is deduplicated when the candidate is not
     sum-distinct.  The collision witness is the first in bitmask order.  The
@@ -110,11 +112,6 @@ def sum_distinct(terms) -> tuple[SumDistinctResult, frozenset]:
     E once.
     """
     check_term_cap(len(terms))
-    return _sum_distinct(tuple(terms))
-
-
-@lru_cache(maxsize=1)
-def _sum_distinct(terms: tuple) -> tuple[SumDistinctResult, frozenset]:
     values = frozenset(subset_values(terms))
     if len(values) == (1 << len(terms)) - 1:
         return SumDistinctResult(True), values

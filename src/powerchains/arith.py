@@ -109,19 +109,31 @@ def _as_prime(p) -> int:
     return p
 
 
+def _odd_mask(low: int, high: int, odd_primes) -> bytearray:
+    """The one composite-marking loop of the sieves: slot i stands for the
+    odd number low + 2i < high (low odd), and for each prime p of the
+    ascending odd primes `odd_primes` with p^2 < high, the slots of p's odd
+    multiples from max(p^2, low) on are set to 0.  With every odd prime up to
+    sqrt(high - 1) given and low > 1, the slots left 1 are the primes."""
+    mask = bytearray([1]) * ((high - low + 1) // 2)
+    for p in odd_primes:
+        p2 = p * p
+        if p2 >= high:
+            break
+        # the slot of p^2, or else of the first odd multiple of p at or above
+        # low: the i in [0, p) with low + 2i = 0 (mod p)
+        i = (p2 - low) // 2 if p2 >= low else (-(low + p) // 2) % p
+        mask[i::p] = bytes(len(range(i, len(mask), p)))
+    return mask
+
+
 def _sieve(limit: int) -> list[int]:
-    """All primes <= limit, by an odd-only bytearray sieve (no numpy)."""
+    """All primes <= limit: 2, then the slots `_odd_mask` leaves of [3, limit]
+    with the odd primes up to sqrt(limit) (no numpy)."""
     if limit < 2:
         return []
-    n = (limit + 1) // 2  # slot i stands for 2i + 1
-    mask = bytearray([1]) * n
-    mask[0] = 0
-    for i in range(1, (isqrt(limit) + 1) // 2):
-        if mask[i]:
-            p = 2 * i + 1
-            start = p * p // 2
-            mask[start::p] = bytes(len(range(start, n, p)))
-    return [2, *compress(range(1, limit + 1, 2), mask)]
+    mask = _odd_mask(3, limit + 1, _sieve(isqrt(limit))[1:])
+    return [2, *compress(range(3, limit + 1, 2), mask)]
 
 
 def _small_primes(bound: int) -> tuple[list[int], list[int]]:
@@ -333,7 +345,8 @@ def prime_blocks(lo: int, hi: int):
     """Yield numpy int64 arrays that together hold every prime in [lo, hi]
     (integers: a float bound raises TypeError).
 
-    Segmented odd-only sieve; working memory stays proportional to the
+    Segmented odd-only sieve, each segment marked by `_odd_mask` (numpy only
+    reads the finished mask); working memory stays proportional to the
     segment size, so limits around 10^8 are routine.  The base primes grow
     (at least twofold) with the segment, so huge ranges start at once.
     """
@@ -354,18 +367,8 @@ def prime_blocks(lo: int, hi: int):
         if isqrt(high - 1) > bound:
             bound = min(isqrt(hi), max(isqrt(high - 1), 2 * bound))
             odd_base = _sieve(bound)[1:]  # drop 2
-        count = (high - low + 1) // 2
-        mask = np.ones(count, dtype=bool)
-        for p in odd_base:
-            p2 = p * p
-            if p2 >= high:
-                break
-            start = max(p2, ((low + p - 1) // p) * p)
-            if start % 2 == 0:
-                start += p
-            if start < high:
-                mask[(start - low) // 2 :: p] = False
-        idx = np.flatnonzero(mask)
+        mask = _odd_mask(low, high, odd_base)
+        idx = np.flatnonzero(np.frombuffer(mask, dtype=bool))
         if idx.size:
             yield low + 2 * idx
         low = high

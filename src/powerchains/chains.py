@@ -33,10 +33,11 @@ Condition 3 runs on numpy slices of at most 2^15 primes from the sieve, in
 one filter: g = gcd(k, p - 1) per prime (g = 1 passes outright), then for
 one element c of E at a time, (c mod p)^((p-1)/g) mod p over the primes
 still alive, which shrink after every element.  The arithmetic is picked
-from p and k: int64 square-and-multiply whenever p < 2^31 (so products of
-residues stay below 2^62) and k < 2^63, with an element of E beyond
-+/-2^62 reduced mod p as a Python int before it is cast back to int64;
-otherwise the same loop runs over object arrays with Python's pow.
+from p alone: int64 square-and-multiply whenever p < 2^31 (so products of
+residues stay below 2^62), with k reduced mod p - 1 and the elements of E
+mod p by `_mod`, which reduces a value beyond +/-2^62 as a Python int
+before it is cast back to int64; otherwise the same loop runs over object
+arrays with Python's pow.
 
 Condition 2 runs on the survivors at or below the spread, in batches of at
 most 2^15 cells (primes x 2^m).  The terms are reduced mod each prime (a
@@ -217,9 +218,10 @@ def _powmod64(a, e, p):
 
 
 def _mod(c: int, p):
-    """c mod each entry of the prime array p, in p's dtype.  Over int64, a c
-    beyond +/-2^62 is reduced as a Python int and cast back, so no operand
-    ever leaves the int64 range, whatever NumPy's promotion rules."""
+    """c mod each entry of the positive array p (primes, or primes - 1), in
+    p's dtype.  Over int64, a c beyond +/-2^62 is reduced as a Python int
+    and cast back, so no operand ever leaves the int64 range, whatever
+    NumPy's promotion rules."""
     if p.dtype == object or -_INT64_VALUES <= c <= _INT64_VALUES:
         return c % p
     return (c % p.astype(object)).astype(p.dtype)
@@ -231,21 +233,21 @@ def _residue_survivors(values, k: int, primes):
     residue.  Elements 0 and 1 are residues mod every prime and cost
     nothing.
 
-    The arithmetic is int64 for the primes below 2^31 when k < 2^63; an
-    element beyond +/-2^62 is then reduced as a Python int first.  The other
+    The arithmetic is int64 for the primes below 2^31, whatever k; k and
+    the elements of E reach the int64 arrays through `_mod`.  The other
     primes run the same loop over object arrays, with Python's pow.
     """
     import numpy as np
 
-    cut = int(primes.searchsorted(_INT64_PRIMES)) if k < 2**63 else 0
+    cut = int(primes.searchsorted(_INT64_PRIMES))
     if 0 < cut < len(primes):  # a slice across 2^31: each side by its rule
         return np.concatenate((_residue_survivors(values, k, primes[:cut]),
                                _residue_survivors(values, k, primes[cut:])))
     if cut:  # every prime below 2^31
-        q, k, power = primes, np.int64(k), _powmod64
+        q, power = primes, _powmod64
     else:
         q, power = primes.astype(object), np.frompyfunc(pow, 3, 1)
-    g = np.gcd(q - 1, k)
+    g = np.gcd(q - 1, _mod(k, q - 1))  # gcd(p - 1, k), with k of any size
     alive = np.flatnonzero(g > 1)  # g = 1: every element is a residue
     p = q[alive]
     e = (p - 1) // g[alive]

@@ -484,7 +484,3 @@ def main(argv=None) -> int:
 
 def entry():  # console-script hook
     raise SystemExit(main())
-
-
-if __name__ == "__main__":
-    entry()

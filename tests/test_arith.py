@@ -204,10 +204,19 @@ def test_first_blocks_of_a_huge_range_need_few_base_primes():
 
 
 def test_primes_in_range_segment_boundaries():
-    lo, hi = 2**21 - 60, 2**21 + 60
-    got = primes_in_range(lo, hi).tolist()
-    expected = [n for n in range(lo, hi + 1) if is_prime(n)]
-    assert got == expected
+    # windows inside one segment: near 2^21, and near 10^12, whose base
+    # primes reach 10^6
+    for lo, hi in ((2**21 - 60, 2**21 + 60), (10**12 - 300, 10**12 + 300)):
+        got = primes_in_range(lo, hi).tolist()
+        assert got == [n for n in range(lo, hi + 1) if is_prime(n)], lo
+    # segments of 2^21 numbers start at 3 + j * 2^21; this range spans five
+    # of them, and its base primes grow once after the first
+    span = 2**21
+    got = primes_in_range(2, 3 + 4 * span + 60)
+    for j in range(1, 5):
+        lo, hi = 3 + j * span - 60, 3 + j * span + 60
+        near = got[(got >= lo) & (got <= hi)].tolist()
+        assert near == [n for n in range(lo, hi + 1) if is_prime(n)], j
     assert primes_in_range(10, 9).tolist() == []
     assert primes_in_range(-5, 2).tolist() == [2]
 

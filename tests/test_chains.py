@@ -481,16 +481,17 @@ def test_one_scan_matches_the_per_modulus_verifier(monkeypatch):
 
 
 def test_scan_past_the_int64_residue_filter_matches_the_verifier():
-    # the scan tests residues on int64 arrays only while p < 2^31, every
-    # subset sum lies within +/-2^62 and k < 2^63; these cases sit on both
-    # sides of each of those bounds, so both residue paths are compared with
-    # the per-modulus verifier
+    # the scan tests residues on int64 arrays while p < 2^31, with k and
+    # every subset sum beyond +/-2^62 reduced as Python ints first; these
+    # cases sit on both sides of each of those bounds, so both residue paths
+    # are compared with the per-modulus verifier
     def expected(r, k, primes):
         return [p for p in primes if is_permutation_chain(r, k, p).is_permutation]
 
     limit = 600
     primes = arith.primes_in_range(2, limit).tolist()
-    cases = [([1, 2, 4], k) for k in (2**63 - 1, 2**63, 2**63 + 1, 2**70, 6 * 2**70)]
+    cases = [([1, 2, 4], k) for k in (2**63 - 1, 2**63, 2**63 + 1, 2**70, 6 * 2**70,
+                                      6 * (2**61 - 1))]
     cases += [(r, k) for r in ([1, 2, 2**70], [2**62 - 4, 1, 3], [2**62 - 3, 1, 3],
                                [-(2**100) + 3, 5, -7], [-(2**62) + 7, -3, -5])
               for k in (2, 3, 6)]
@@ -502,6 +503,10 @@ def test_scan_past_the_int64_residue_filter_matches_the_verifier():
             chain_primes_in_range(r, k, 301, limit) == want, (r, k)
         assert density_counts_in_range(r, k, 2, limit) == (len(primes), len(want)), (r, k)
     assert any(expected(r, k, primes) for r, k in cases)
+    # 2^61 - 1 is a prime above every p - 1 here, so gcd(k, p - 1) is
+    # gcd(6, p - 1) and the chain primes are those of k = 6
+    assert find_chain_primes([1, 2, 4], 6 * (2**61 - 1), 10**6) == \
+        find_chain_primes([1, 2, 4], 6, 10**6)
 
     # primes on both sides of 2^31, and near 2^32 where int64 squares of
     # residues would overflow, with spreads below, across and above them;

@@ -326,7 +326,7 @@ def test_each_command_builds_e_once(capsys, monkeypatch):
         calls.append(tuple(items))
         return subset_values(items)
 
-    _subsets._sum_distinct.cache_clear()
+    _subsets.sum_distinct.cache_clear()
     monkeypatch.setattr(_subsets, "subset_values", counted)
     for argv in (("search", "--k", "2", "--seq", "1,2,4", "--limit", "20000",
                   "--workers", "1"),
