@@ -16,9 +16,13 @@ the `FFPoly` moduli the sieve built.
 `irreducibles_of_degree` sieves the p^d monics of degree d, held in one
 bytearray indexed by base-p value: it marks every product g*h of a monic
 irreducible g of degree <= d/2 and a monic h of the complementary degree, and
-what stays unmarked is irreducible.  Rabin's criterion (`is_irreducible`) is
-the independent check.  Enumeration is capped at MAX_MONICS monics: a call
-that would sieve or search more raises SizeLimitError before any work.
+what stays unmarked is irreducible.  No product is multiplied out: h runs
+through its monics in base-p counting order, each step adds 1 + t + ... + t^j
+to h, and so g*(1 + t + ... + t^j) to g*h, whose changed digits move the
+bytearray index.  One loop serves every p.  Rabin's criterion
+(`is_irreducible`) is the independent check.  Enumeration is capped at
+MAX_MONICS monics: a call that would sieve or search more raises
+SizeLimitError before any work.
 
 The residue test uses the characteristic-p reduction: writing k = p^t * k'
 with gcd(k', p) = 1, an element is a kth power residue mod an irreducible f
@@ -50,7 +54,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from operator import index, mul
+from operator import index
 
 from powerchains import _subsets, arith
 from powerchains.errors import SizeLimitError
@@ -70,7 +74,7 @@ __all__ = [
 ]
 
 # Monics one sieve or search may enumerate.  At the cap a search takes about
-# 10 s (F_251[t] to degree 2, k = 2, on a 2-core host), so a larger field
+# 1 s (F_251[t] to degree 2, k = 2, on a 2-core host), so a larger field
 # fails fast instead of running for minutes.
 MAX_MONICS = 2**16
 
@@ -481,18 +485,48 @@ _irreducible_cache: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 
 def _irreducible_coeffs(p: int, d: int) -> tuple[tuple[int, ...], ...]:
     """Kernel tuples of the monic irreducibles of degree d, ascending by
-    base-p value, by the sieve; cached per (p, d)."""
+    base-p value, by the sieve; cached per (p, d).
+
+    composite[v] marks the monic whose d low coefficients have base-p value
+    v (the leading 1 is left out); every reducible one has a monic
+    irreducible factor g of degree e <= d/2.  For each g the cofactors h of
+    degree n = d - e are walked in base-p counting order from t^n.  Step s
+    adds 1 to the j + 1 lowest coefficients of h, j = v_p(s), so g*h gains
+    g*(1 + t + ... + t^j), of degree < d: adding that delta digit by digit
+    mod p moves v by the digits it changes, with no product computed.
+    """
     key = (p, d)
     if key not in _irreducible_cache:
-        # composite[v] marks the monic whose d low coefficients have base-p
-        # value v (the leading 1 falls outside `weights`); every reducible
-        # one has a monic irreducible factor of degree <= d/2
         composite = bytearray(p**d)
-        weights = [p**i for i in range(d)]
         for e in range(1, d // 2 + 1):
+            n = d - e
+            # ruler[s - 1] = v_p(s) for the steps s = 1 .. p^n - 1
+            ruler: list[int] = []
+            for j in range(n):
+                ruler += ([j] + ruler) * (p - 1)
             for g in _irreducible_coeffs(p, e):
-                for low in _low_first(p, d - e):
-                    composite[sum(map(mul, _mul(g, low + (1,), p), weights))] = 1
+                # per j: the value the delta adds without carries, and its
+                # nonzero digits as (position, digit, p^(position + 1)),
+                # the last taken back when the digit wraps past p - 1
+                deltas = []
+                for j in range(n):
+                    delta = _mul(g, (1,) * (j + 1), p)
+                    deltas.append((
+                        sum(c * p**i for i, c in enumerate(delta)),
+                        [(i, c, p ** (i + 1)) for i, c in enumerate(delta) if c]))
+                digits = [0] * n + list(g[:-1])  # g * t^n below t^d
+                v = sum(c * p**i for i, c in enumerate(digits))
+                composite[v] = 1
+                for j in ruler:
+                    added, changed = deltas[j]
+                    v += added
+                    for i, c, wrap in changed:
+                        c += digits[i]
+                        if c >= p:
+                            c -= p
+                            v -= wrap
+                        digits[i] = c
+                    composite[v] = 1
         _irreducible_cache[key] = tuple(
             low + (1,) for low, marked in zip(_low_first(p, d), composite)
             if not marked)
@@ -589,6 +623,12 @@ def find_chain_irreducibles(r, k: int, p: int, max_degree: int) -> list[FFPoly]:
     """All monic irreducibles of degree <= max_degree realizing r as a
     permutation chain of kth power residues, ordered by (degree, value).
 
+    Each modulus f gets the chain core's per-modulus test: E distinct mod f
+    and every element a residue.  Above the top degree of E every element is
+    its own remainder mod f, so E, distinct over F_p[t], stays distinct and
+    only the residue test runs (the F_p[t] form of the Z scan's `p > spread`
+    rule).
+
     Raises InvalidCandidateError when r is not sum-distinct over F_p[t]
     (no modulus can work then), and SizeLimitError, before any work, when
     the monics of degree <= max_degree pass MAX_MONICS.
@@ -604,6 +644,7 @@ def find_chain_irreducibles(r, k: int, p: int, max_degree: int) -> list[FFPoly]:
     values = sorted(_subsets.require_sum_distinct(terms, f" over F_{p}[t]"),
                     key=_sort_key)
     sums = [v.coeffs for v in values]
+    top = len(sums[-1]) - 1  # the sort key orders E by degree first
     k_prime = _strip_char(k, p)
     out: list[FFPoly] = []
     for d in range(1, max_degree + 1):
@@ -611,6 +652,7 @@ def find_chain_irreducibles(r, k: int, p: int, max_degree: int) -> list[FFPoly]:
         for f in irreducibles_of_degree(p, d):
             ring = _subsets.Ring(_Modulus(f.coeffs, p), k, exponent,
                                  _residue_power, (1,), None, f"in F_{p}[t]")
-            if _subsets.modulus_defect(sums, ring) is None:
+            if (all(map(ring.is_residue, sums)) if d > top
+                    else _subsets.modulus_defect(sums, ring) is None):
                 out.append(f)
     return out

@@ -153,8 +153,9 @@ def test_is_irreducible_examples():
 
 def test_sieve_matches_rabin_on_every_monic():
     # the sieve against the Rabin criterion over every monic, in base-p value
-    # order, on the fields and degrees the benchmark enumerates
-    for p, top in ((2, 12), (3, 7), (5, 6), (7, 4)):
+    # order, on the fields and degrees the benchmark enumerates, and on F_11
+    # and F_13, where the sieve's digit updates wrap at larger digits
+    for p, top in ((2, 12), (3, 7), (5, 6), (7, 4), (11, 3), (13, 3)):
         for d in range(1, top + 1):
             monics = [FFPoly(p, low[::-1] + (1,)) for low in product(range(p), repeat=d)]
             assert irreducibles_of_degree(p, d) == \
@@ -545,6 +546,19 @@ def _oracle_kth_powers(f, p, ks):
     return powers, reduce
 
 
+def _oracle_subset_sums(terms, p):
+    """The nonempty subset sums of terms (coefficient lists of length <= 4),
+    each as a 4-tuple, in mask order."""
+    sums = []
+    for mask in range(1, 1 << len(terms)):
+        s = [0] * 4
+        for i, t in enumerate(terms):
+            if mask >> i & 1:
+                s = [(a + b) % p for a, b in zip(s, t + [0] * (4 - len(t)))]
+        sums.append(tuple(s))
+    return sums
+
+
 def test_find_chain_irreducibles_matches_a_schoolbook_residue_oracle():
     # every irreducible with a residue field of at most 343 elements,
     # modulus by modulus: chain modulus iff E is distinct mod f and every
@@ -555,21 +569,23 @@ def test_find_chain_irreducibles_matches_a_schoolbook_residue_oracle():
         ks = sorted({1, 2, 3, 4, 6, p, 2 * p})
         fields = [(f, *_oracle_kth_powers(f.coeffs, p, ks))
                   for d in range(1, top + 1) for f in irreducibles_of_degree(p, d)]
-        checked = 0
-        while checked < 3:
+        # fixed candidates first: terms of degree <= 1 reach the moduli above
+        # the top degree of E, where only the residue test runs, also at
+        # p = 5 and 7; t and (p - 1)t put the zero polynomial in E
+        candidates = [[[0, 1], [0, p - 1]]] if p > 2 else []
+        if p >= 5:
+            candidates += [[[1], [0, 1]], [[1], [0, 1], [2, 1]]]
+        fixed = len(candidates)
+        while len(candidates) < fixed + 3:
             m = rng.randrange(2, 5)
             terms = [[rng.randrange(p) for _ in range(rng.randrange(4))] + [rng.randrange(1, p)]
                      for _ in range(m)]
-            sums = []
-            for mask in range(1, 1 << m):
-                s = [0] * 4
-                for i, t in enumerate(terms):
-                    if mask >> i & 1:
-                        s = [(a + b) % p for a, b in zip(s, t + [0] * (4 - len(t)))]
-                sums.append(tuple(s))
-            if len(set(sums)) < len(sums):
-                continue  # not sum-distinct: draw again
-            checked += 1
+            sums = _oracle_subset_sums(terms, p)
+            if len(set(sums)) == len(sums):  # else not sum-distinct: draw again
+                candidates.append(terms)
+        for terms in candidates:
+            sums = _oracle_subset_sums(terms, p)
+            assert len(set(sums)) == len(sums), terms
             r = [FFPoly(p, tuple(t)) for t in terms]
             found = {k: set(find_chain_irreducibles(r, k, p, top)) for k in ks}
             for f, powers, reduce in fields:
