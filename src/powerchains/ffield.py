@@ -34,9 +34,11 @@ divides p - 1 that power is N(a)^((p-1)/g), where the norm
 N(a) = a^((q-1)/(p-1)) lies in F_p and equals the resultant Res(f, a) of the
 monic f (Rosen, Number Theory in Function Fields, ch. 3): an O(d^2)
 Euclidean resultant and one integer `pow` stand in for a powmod whose
-exponent is about q.  That covers every k = 2 test over odd p; F_2 and the
-rest keep square-and-multiply.  The public `powmod` and Rabin's test always
-square and multiply, since their moduli may be reducible, where the identity
+exponent is about q.  That covers every k = 2 test over odd p; the rest
+keep square-and-multiply, which over F_2 runs on bitmask ints (bit i the
+coefficient of t^i) with carry-less products and hands a tuple back, for
+every F_2 power alike.  The public `powmod` and Rabin's test always square
+and multiply, since their moduli may be reducible, where the identity
 fails.
 
 The constant field is restricted to prime fields F_p; extension constant
@@ -165,9 +167,39 @@ def _mulmod(a: tuple, b: tuple, m: _Modulus) -> tuple:
 
 
 def _powmod(a: tuple, e: int, m: _Modulus) -> tuple:
-    """a^e mod m by left-to-right square-and-multiply, e >= 0."""
+    """a^e mod m by left-to-right square-and-multiply, e >= 0.
+
+    Over F_2 the loop runs on bitmask ints, bit i the coefficient of t^i, as
+    NTL's GF2X does.  Squaring is linear over F_2, r(t)^2 = sum of t^(2i)
+    over the set bits i of r, so reading r's binary digits as base-4 digits
+    squares it; a product by a XORs in shifted copies of the running value,
+    one per set bit of a; and each step's result is reduced by XOR-ing in
+    shifted copies of f until its degree is below deg f.  Other p run the
+    kernel's `_mulmod`.
+    """
     if not e:
         return (1,)
+    if m.p == 2:
+        f = 0
+        for c in reversed(m.f):
+            f = f << 1 | c
+        r = 0
+        for c in reversed(a):
+            r = r << 1 | c
+        top = len(m.f)  # bit length of f
+        while (n := r.bit_length()) >= top:
+            r ^= f << (n - top)
+        shifts = [i for i in range(r.bit_length()) if r >> i & 1]
+        for bit in bin(e)[3:]:
+            r = int(bin(r)[2:], 4)
+            if bit == "1":
+                s = 0
+                for i in shifts:
+                    s ^= r << i
+                r = s
+            while (n := r.bit_length()) >= top:
+                r ^= f << (n - top)
+        return tuple([r >> i & 1 for i in range(r.bit_length())])
     a = a % m
     result = a
     for bit in bin(e)[3:]:
@@ -416,6 +448,7 @@ def poly_from_text(text: str) -> FFPoly:
 
 def powmod(base: FFPoly, exp: int, modulus: FFPoly) -> FFPoly:
     """base^exp mod modulus by square-and-multiply."""
+    exp = index(exp)
     if exp < 0:
         raise ValueError("exponent must be nonnegative")
     if modulus.degree < 1:
@@ -542,7 +575,8 @@ def irreducibles_of_degree(p: int, d: int) -> list[FFPoly]:
     the Rabin criterion (`is_irreducible`) is the independent check of this
     list.  Raises SizeLimitError when p^d passes MAX_MONICS.
     """
-    _check_characteristic(p)
+    p = _check_characteristic(index(p))
+    d = index(d)
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
     _check_monic_count(p, range(d, d + 1))
@@ -634,10 +668,11 @@ def find_chain_irreducibles(r, k: int, p: int, max_degree: int) -> list[FFPoly]:
     the monics of degree <= max_degree pass MAX_MONICS.
     """
     terms = _ff_terms(r)
-    _check_characteristic(p)
+    p = _check_characteristic(index(p))
     if terms[0].p != p:
         raise ValueError(f"candidate lives over F_{terms[0].p}, not F_{p}")
     k = _subsets.check_k(k)
+    max_degree = index(max_degree)
     if max_degree < 1:
         raise ValueError(f"max_degree must be >= 1, got {max_degree}")
     _check_monic_count(p, range(1, max_degree + 1))

@@ -98,6 +98,43 @@ def test_powmod_frobenius_example():
         assert any(y.degree >= 1 for y in got), f
 
 
+def test_f2_powmod_matches_schoolbook_square_and_multiply():
+    # the F_2 bitmask loop against right-to-left square-and-multiply on
+    # FFPoly * and %, which never reach the kernel's powmod: irreducible and
+    # reducible moduli of degree 1-16 (the sieve tells them apart), zero,
+    # unreduced and reduced bases, and the exponents of the residue test
+    rng = random.Random(2)
+    one = FFPoly.one(2)
+
+    def oracle(a, e, f):
+        result, base = one % f, a % f
+        while e:
+            if e & 1:
+                result = result * base % f
+            base = base * base % f
+            e >>= 1
+        return result
+
+    for d in range(1, 17):
+        irreducible = set(irreducibles_of_degree(2, d))
+        moduli = {True: [], False: []}
+        while len(moduli[True]) < 2 or len(moduli[False]) < 2 * (d > 1):
+            f = FFPoly(2, tuple(rng.randrange(2) for _ in range(d)) + (1,))
+            if len(moduli[f in irreducible]) < 2:
+                moduli[f in irreducible].append(f)
+        q = 2**d
+        exponents = [0, 1, 2, q - 1, rng.randrange(2**20 + 1)]
+        if (q - 1) % 3 == 0:
+            exponents.append((q - 1) // 3)
+        for f in moduli[True] + moduli[False]:
+            bases = [FFPoly.zero(2), f, f * FFPoly.gen(2) + one,
+                     FFPoly(2, [rng.randrange(2) for _ in range(2 * d + 3)]),
+                     FFPoly(2, [rng.randrange(2) for _ in range(d)])]
+            for a in bases:
+                for e in exponents:
+                    assert powmod(a, e, f) == oracle(a, e, f), (f, a, e)
+
+
 def test_normalization_and_eval():
     f = FFPoly(5, (7, -1, 0, 0))
     assert f.coeffs == (2, 4)
@@ -241,9 +278,10 @@ def test_char_p_reduction_property():
     # both checked against brute-force enumeration on every irreducible.
     # k runs through both branches of the residue test, the norm to F_p
     # (gcd(k', q-1) divides p-1) and square-and-multiply (p = 3, k = 4 at
-    # d = 2; p = 5, k = 3 at d = 2), and d = 1
+    # d = 2; p = 5, k = 3 at d = 2; F_2 at every k' > 1, reaching g = 3 at
+    # even d), and d = 1
     ks = range(1, 28)
-    for p, d in [(2, 2), (2, 3), (3, 2), (3, 3), (5, 1), (5, 2), (7, 2)]:
+    for p, d in [(2, 2), (2, 3), (2, 4), (2, 6), (3, 2), (3, 3), (5, 1), (5, 2), (7, 2)]:
         for g in irreducibles_of_degree(p, d):
             elements = residue_field(g)
             # the kth powers for every k at once, by repeated multiplication
