@@ -279,27 +279,41 @@ def _prime_divisors(values: list[int], limit: int | None) -> set[int]:
     Trial division runs on the product of each chunk of _CHUNK_VALUES
     values (chunk by chunk, so that no product grows long), by blocks of the
     primes up to the square root of the chunk's largest value or up to the
-    limit, whichever is smaller.  `_strip` divides the product by each prime
-    found and ends the chunk once a block starts past the square root of the
-    rest, which is then 1 or a prime.  The rest is the product of what the
-    found primes leave of each value, gcd(value, rest).  When the blocks
-    covered the limit, only a rest at most the limit (a prime, after an
-    early stop) is kept; otherwise each value's remainder is 1 or a prime
-    below 10^12, and Pollard rho splits a larger composite.
+    limit, whichever is smaller.  A chunk of one value (the path of
+    `factor`) is divided by each prime found through `_strip`, which ends
+    it once a block starts past the square root of the rest, then 1 or a
+    prime.  A long product seldom stops early, so each value of a larger
+    chunk is instead stripped, by gcds, of the primes its chunk found.
+    When the blocks covered the limit, only a rest at most the limit (a
+    prime, after an early stop) is kept; otherwise each value's remainder
+    is 1 or a prime below 10^12, and Pollard rho splits a larger composite.
     """
     primes: set[int] = set()
     for i in range(0, len(values), _CHUNK_VALUES):
         chunk = values[i:i + _CHUNK_VALUES]
         bound = isqrt(chunk[-1]) if limit is None else min(isqrt(chunk[-1]), limit)
+        covered = limit is not None and limit <= min(bound, TRIAL_DIVISION_LIMIT)
         product = prod(chunk)
-        found, rest = _strip(product, _block_divisors(product, bound))
-        primes.update(found)
-        if limit is not None and limit <= min(bound, TRIAL_DIVISION_LIMIT):
-            if 1 < rest <= limit:  # a prime left by an early stop
+        if len(chunk) == 1:
+            found, rest = _strip(product, _block_divisors(product, bound))
+            primes.update(found)
+            if not covered:
+                primes.update(_split(rest))
+            elif 1 < rest <= limit:  # a prime left by an early stop
                 primes.add(rest)
-        elif rest > 1:
-            for d in chunk:
-                primes.update(_split(gcd(d, rest)))
+            continue
+        small = [p for _, divisors in _block_divisors(product, bound)
+                 for p in divisors]
+        primes.update(small)
+        if covered:
+            continue  # every prime factor of a remainder exceeds the limit
+        strip = prod(small)
+        for d in chunk:
+            g = gcd(d, strip)
+            while g > 1:
+                d //= g
+                g = gcd(d, g)
+            primes.update(_split(d))
     return primes if limit is None else {p for p in primes if p <= limit}
 
 

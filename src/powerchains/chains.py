@@ -51,10 +51,11 @@ sum-distinct candidate those 2^m - 1 sums are E itself.
 
 from __future__ import annotations
 
+import sys
 from itertools import islice
 from operator import index
 
-from powerchains import _subsets, arith, ffield
+from powerchains import _subsets, arith
 from powerchains._subsets import ChainFailure, ChainVerdict, SumDistinctResult
 from powerchains.errors import OverflowLimitError
 
@@ -95,9 +96,13 @@ def _candidate(r, p=None):
     """The terms of r and the chain core's ring for them: F_p[t] when the
     modulus p or the first term is an `FFPoly` (`ffield._ff_terms`,
     `ffield._ring`), Z otherwise (`_terms`, `arith._ring`).  The ring is
-    called as ring(k, p), so the terms are checked first, then k, then p."""
+    called as ring(k, p), so the terms are checked first, then k, then p.
+    An `FFPoly` exists only once `ffield` is loaded, so a Z run never loads
+    it."""
     r = tuple(r)
-    if isinstance(p, ffield.FFPoly) or r and isinstance(r[0], ffield.FFPoly):
+    ffield = sys.modules.get("powerchains.ffield")
+    if ffield is not None and (isinstance(p, ffield.FFPoly)
+                               or r and isinstance(r[0], ffield.FFPoly)):
         return ffield._ff_terms(r), ffield._ring
     return _terms(r), arith._ring
 

@@ -25,22 +25,27 @@ runs and worker counts for a fixed config and version; wall-clock timing
 therefore goes to stderr only.  Search and density run on all cores unless
 --workers says otherwise.  Exact rationals print in full, however many
 digits they have.
+
+Each command imports the package modules it runs, in the config builder and
+its runner, so a run loads no other: `--version` loads none, the F_p[t]
+commands leave `chains` and `kummer` out, and only `density` loads `kummer`.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
 import time
 from dataclasses import dataclass, fields
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from powerchains import __version__, _subsets, arith, chains, ffield, kummer
+from powerchains import __version__
 from powerchains.errors import InvalidCandidateError
+
+if TYPE_CHECKING:
+    from powerchains import chains, ffield
 
 SCHEMA_VERSION = 1
 _SERIAL_LIMIT = 10**4  # search and density below this limit run in one process
@@ -77,11 +82,15 @@ class RunConfig:
 def _jsonable(v):
     if isinstance(v, (list, tuple)):
         return [_jsonable(t) for t in v]
-    if isinstance(v, ffield.FFPoly):
+    # an FFPoly exists only once ffield is loaded
+    ffield = sys.modules.get("powerchains.ffield")
+    if ffield is not None and isinstance(v, ffield.FFPoly):
         return ffield.poly_to_text(v)
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
     return v
+
+
+def _fraction_text(x) -> str:
+    return f"{x.numerator}/{x.denominator}"
 
 
 # -- sequence parsing -------------------------------------------------------
@@ -117,6 +126,8 @@ def _split_outside_brackets(text: str) -> list[str]:
 
 
 def parse_poly_sequence(text: str, characteristic: int) -> list[ffield.FFPoly]:
+    from powerchains import ffield
+
     terms = []
     for tok in _split_outside_brackets(text):
         f = ffield.poly_from_text(tok.strip())
@@ -138,12 +149,16 @@ def _parse_vegh(text: str) -> tuple[int, ...]:
         m, base = int(parts[0]), int(parts[1])
     except ValueError:
         raise ValueError(f"--vegh expects integers 'm,base', got {text!r}") from None
+    from powerchains import chains
+
     return chains.vegh_sequence(m, base)
 
 
 def _tpowers(m: int, p: int) -> list[ffield.FFPoly]:
     if m < 1:
         raise ValueError(f"--tpowers expects m >= 1, got {m}")
+    from powerchains import _subsets, ffield
+
     _subsets.check_term_cap(m)  # before the powers, whose size grows with m
     t = ffield.FFPoly.gen(p)
     return [t**i for i in range(m)]
@@ -233,14 +248,20 @@ def _build_config(ns: argparse.Namespace) -> RunConfig:
             raise ValueError(f"--workers must be >= 1, got {cfg.workers}")
 
     if hasattr(ns, "k"):
+        from powerchains import _subsets
+
         cfg.k = _subsets.check_k(ns.k)
 
     if not polynomial:
+        from powerchains import arith, chains
+
         cfg.sequence = chains._terms(
             parse_int_sequence(ns.seq) if ns.vegh is None else _parse_vegh(ns.vegh))
         if hasattr(ns, "modulus"):
             cfg.modulus = arith._as_prime(ns.modulus)
     else:
+        from powerchains import ffield
+
         cfg.characteristic = ffield._check_characteristic(ns.char)
         if ns.tpowers is not None:
             cfg.sequence = _tpowers(ns.tpowers, ns.char)
@@ -313,10 +334,14 @@ def _over_range(scan, cfg: RunConfig) -> list:
 
 
 def _verify(cfg: RunConfig) -> tuple[dict, int]:
+    from powerchains import chains
+
     return _verdict(chains.is_permutation_chain(cfg.sequence, cfg.k, cfg.modulus))
 
 
 def _candidate_check(cfg: RunConfig) -> tuple[dict, int]:
+    from powerchains import chains
+
     res = chains.is_sum_distinct(cfg.sequence)
     collision = None
     if not res:
@@ -332,6 +357,8 @@ def _candidate_check(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def _search(cfg: RunConfig) -> tuple[dict, int]:
+    from powerchains import chains
+
     terms = cfg.sequence
     sd = bool(chains.is_sum_distinct(terms))
     if sd and cfg.max_count is None:
@@ -351,6 +378,8 @@ def _search(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def _density(cfg: RunConfig) -> tuple[dict, int]:
+    from powerchains import chains, kummer
+
     terms = cfg.sequence
     counts = _over_range(kummer.density_counts_in_range, cfg)
     report = kummer.density_report_from_counts(
@@ -360,23 +389,27 @@ def _density(cfg: RunConfig) -> tuple[dict, int]:
         "limit": report.limit,
         "total_primes": report.total_primes,
         "hits": report.hits,
-        "empirical": _jsonable(report.empirical),
-        "predicted_lower_bound": _jsonable(report.predicted_lower_bound),
+        "empirical": _fraction_text(report.empirical),
+        "predicted_lower_bound": _fraction_text(report.predicted_lower_bound),
         "exceptional_excluded": list(report.exceptional_excluded),
     }
     return result, 0 if report.hits else 1
 
 
 def _exceptional(cfg: RunConfig) -> tuple[dict, int]:
+    from powerchains import chains
+
     primes = list(chains.exceptional_primes(cfg.sequence))
     return {"primes": primes, "count": len(primes)}, 0
 
 
 def _ff_search(cfg: RunConfig) -> tuple[dict, int]:
+    from powerchains import ffield
+
     moduli = ffield.find_chain_irreducibles(
         cfg.sequence, cfg.k, cfg.characteristic, cfg.max_degree)
     result = {
-        "moduli": [_jsonable(m) for m in moduli],
+        "moduli": [ffield.poly_to_text(m) for m in moduli],
         "count": len(moduli),
     }
     return result, 0 if moduli else 1
@@ -394,6 +427,8 @@ def _density_rows(result: dict) -> list:
 
 
 def _moduli_rows(result: dict) -> list:
+    from powerchains import ffield
+
     return [("degree", "modulus")] + [
         (ffield.poly_from_text(text).degree, text) for text in result["moduli"]]
 
@@ -433,6 +468,9 @@ def _render_table(cfg: RunConfig, result: dict) -> str:
 
 
 def _render_csv(cfg: RunConfig, result: dict) -> str:
+    import csv
+    import io
+
     if "error" in result:
         rows = [("error", "message"), (result["error"], result["message"])]
     else:

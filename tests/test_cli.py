@@ -451,7 +451,7 @@ def test_memory_exhaustion_exits_2_without_a_traceback(capsys, monkeypatch):
 
 def test_exact_density_prints_past_the_int_to_str_digit_limit(capsys, monkeypatch):
     # the denominator has 6,021 digits, past Python's default limit of 4,300
-    monkeypatch.setattr(cli.kummer, "predicted_density",
+    monkeypatch.setattr("powerchains.kummer.predicted_density",
                         lambda values, k: Fraction(1, 2**20000))
     digits = sys.get_int_max_str_digits()
     code, payload = run_json(capsys, "density", "--seq", "1,2,4", "--k", "2",
@@ -638,3 +638,45 @@ for argv in runs:
         "verify 1 False False", "candidate-check 0 False False",
         "ff-verify 0 False False", "ff-search 0 False False",
         "search 1 True False"]
+
+
+
+# prints the modules loaded by one CLI run, the package's without its prefix
+_LOADS = """
+import contextlib, io, sys
+from powerchains.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    main(sys.argv[1:])
+print(*sorted(name.removeprefix("powerchains.") for name in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("argv, loads, leaves", [
+    pytest.param(["--version"], set(),
+                 {"_subsets", "arith", "chains", "ffield", "kummer", "fractions", "numpy"},
+                 id="version"),
+    pytest.param(["ff-search", "--char", "3", "--k", "2", "--tpowers", "2",
+                  "--max-degree", "3"],
+                 {"ffield"}, {"chains", "kummer", "fractions", "numpy"}, id="ff-search"),
+    pytest.param(["ff-verify", "--char", "3", "--k", "9", "--modulus", "GF(3)[1,2,0,1]",
+                  "--tpowers", "3"],
+                 {"chains", "ffield"}, {"kummer", "fractions", "numpy"}, id="ff-verify"),
+    pytest.param(["verify", "--k", "2", "--modulus", "7", "--seq", "1,2,4"],
+                 {"chains"}, {"ffield", "kummer"}, id="verify"),
+    pytest.param(["candidate-check", "--seq", "1,2,4"],
+                 {"chains"}, {"ffield", "kummer"}, id="candidate-check"),
+    pytest.param(["search", "--k", "2", "--seq", "1,2,4", "--limit", "100"],
+                 {"chains"}, {"ffield", "kummer"}, id="search"),
+    pytest.param(["exceptional", "--seq", "1,2,4"],
+                 {"chains"}, {"ffield", "kummer"}, id="exceptional"),
+    pytest.param(["density", "--k", "2", "--seq", "1,2,4", "--limit", "100"],
+                 {"kummer"}, {"ffield"}, id="density"),
+])
+def test_each_command_loads_only_the_modules_it_runs(argv, loads, leaves):
+    # a fresh process per command: each command imports the package modules
+    # it runs, so its start-up compiles no other
+    proc = subprocess.run([sys.executable, "-c", _LOADS, *argv],
+                          capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert loads - loaded == set()
+    assert leaves & loaded == set()

@@ -1,6 +1,8 @@
 """No module of the package imports a name it never uses.  A name listed in
-the module's `__all__` counts as used, and so does every import of the
-package's `__init__`, whose imports are the public API it re-exports."""
+the module's `__all__` counts as used.  The package's `__init__` is left out:
+it imports none of the public names it exports, but loads each from its
+module on first access, and builds its `__all__` from that name -> module
+table rather than writing it as a literal list."""
 
 import ast
 from pathlib import Path
