@@ -36,13 +36,14 @@ def check_term_cap(n_terms: int) -> None:
             f"of {MAX_TERMS} terms")
 
 
-def check_k(k) -> int:
-    """k as an int >= 1: TypeError for a non-integer (`operator.index`, so
-    a float is refused, not truncated), ValueError below 1."""
-    k = index(k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return k
+def check_bound(v, name: str, low: int = 1) -> int:
+    """The argument `name` as an int >= low: TypeError for a non-integer
+    (`operator.index`, so a float is refused, not truncated), ValueError
+    below low.  Every bounded integer argument goes through it."""
+    v = index(v)
+    if v < low:
+        raise ValueError(f"{name} must be >= {low}, got {v}")
+    return v
 
 
 def mask_indices(mask: int) -> tuple[int, ...]:

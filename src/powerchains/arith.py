@@ -59,9 +59,6 @@ def _check_width(n: int, what: str = "value") -> int:
 
 def _mr_composite_witness(n: int, d: int, s: int, a: int) -> bool:
     # True if a certifies that odd n is composite; n-1 = d * 2^s with d odd.
-    a %= n
-    if a <= 1:
-        return False
     x = pow(a, d, n)
     if x == 1 or x == n - 1:
         return False
@@ -344,9 +341,7 @@ def _factorizations(values) -> list[tuple[tuple[int, int], ...]]:
 
 def euler_phi(n: int) -> int:
     """Euler's totient, via factorization.  Requires an integer n >= 1."""
-    n = index(n)
-    if n < 1:
-        raise ValueError(f"euler_phi requires n >= 1, got {n}")
+    n = _subsets.check_bound(n, "n")
     if n == 1:
         return 1
     out = 1
@@ -400,7 +395,7 @@ def primes_in_range(lo: int, hi: int) -> np.ndarray:
 
 def _ring(k: int, p) -> _subsets.Ring:
     """The prime p as a modulus of the chain core, for kth powers."""
-    k = _subsets.check_k(k)
+    k = _subsets.check_bound(k, "k")
     p = _as_prime(p)
     return _subsets.Ring(p, k, _subsets.residue_exponent(k, p), pow, 1, None,
                          "over the integers")

@@ -322,7 +322,7 @@ def _scan(r, k: int, lo: int, hi: int, *, sweep: bool = False):
     count the primes); otherwise nothing is yielded and nothing is sieved.
     """
     terms = _terms(r)
-    k = _subsets.check_k(k)
+    k = _subsets.check_bound(k, "k")
     lo, hi = index(lo), index(hi)  # before any return: a float bound is refused
     sd, values = _subsets.sum_distinct(terms)
     if not sd and not sweep:
@@ -356,9 +356,8 @@ def find_chain_primes(r, k: int, limit: int, max_count: int | None = None) -> li
     scan.
     """
     limit = index(limit)
-    max_count = None if max_count is None else index(max_count)
-    if max_count is not None and max_count < 1:
-        raise ValueError(f"max_count must be >= 1, got {max_count}")
+    if max_count is not None:
+        max_count = _subsets.check_bound(max_count, "max_count")
     # islice stops pulling blocks once it holds max_count primes
     return list(islice((p for _, hits in _scan(r, k, 2, limit) for p in hits),
                        max_count))
@@ -371,11 +370,8 @@ def vegh_sequence(m: int, base: int) -> tuple[int, ...]:
     Building stops at the first term past the 128-bit width, which the
     candidate check then refuses, so a huge m costs no huge powers.  A
     non-integer m or base raises TypeError."""
-    m, base = index(m), index(base)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if base < 2:
-        raise ValueError(f"base must be >= 2, got {base}")
+    m, base = index(m), index(base)  # a non-integer raises before a bound
+    m, base = _subsets.check_bound(m, "m"), _subsets.check_bound(base, "base", 2)
     terms = [1]
     while len(terms) < m and terms[-1] <= arith.MAX_VALUE:
         terms.append(terms[-1] * base)

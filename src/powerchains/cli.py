@@ -12,8 +12,9 @@ ff-search        irreducible moduli up to a degree bound realizing a chain
 
 A command's options are declared in `_build_parser`, where the options that
 several commands share sit in parent parsers; its runner and its CSV rows
-are declared in `COMMANDS`.  `RunConfig` holds the validated inputs, and its
-fields, in declaration order, are the config that every output echoes.
+are declared in `COMMANDS`.  `_build_config` validates the parsed namespace
+in place, and the names of `_ECHO`, in that order, are the config that every
+output echoes.
 
 Exit codes: 0 affirmative result (chain verified, primes found, hits > 0),
 1 negative mathematical result (not a chain, nothing found, candidate not
@@ -38,7 +39,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 from powerchains import __version__
@@ -53,40 +53,22 @@ _SERIAL_LIMIT = 10**4  # search and density below this limit run in one process
 TABLE, JSON, CSV = "table", "json", "csv"
 
 
-@dataclass
-class RunConfig:
-    """The validated inputs of one run; the fields that are set are echoed,
-    in this order in the table."""
+# the validated inputs of a run that its output echoes, in this order in the
+# table; a name the command does not set is left out (workers is set only for
+# the commands that scan a range)
+_ECHO = ("command", "ring", "format", "characteristic", "k", "modulus", "limit",
+         "max_degree", "max_count", "workers", "sequence")
 
-    command: str
-    ring: str
-    format: str
-    characteristic: int | None = None
-    k: int | None = None
-    modulus: int | ffield.FFPoly | None = None
-    limit: int | None = None
-    max_degree: int | None = None
-    max_count: int | None = None
-    workers: int | None = None  # set only for the commands that scan a range
-    sequence: tuple | list | None = None
 
-    def settings(self) -> dict:
-        return {f.name: _jsonable(getattr(self, f.name)) for f in fields(self)
-                if getattr(self, f.name) is not None}
-
-    def echo(self) -> dict:
-        # a command that scans no range runs in one process
-        return {"workers": 1, **self.settings()}
+def _settings(cfg: argparse.Namespace) -> dict:
+    return {name: _jsonable(v) for name in _ECHO
+            if (v := getattr(cfg, name, None)) is not None}
 
 
 def _jsonable(v):
     if isinstance(v, (list, tuple)):
         return [_jsonable(t) for t in v]
-    # an FFPoly exists only once ffield is loaded
-    ffield = sys.modules.get("powerchains.ffield")
-    if ffield is not None and isinstance(v, ffield.FFPoly):
-        return ffield.poly_to_text(v)
-    return v
+    return v if isinstance(v, (int, str)) else repr(v)  # an FFPoly's repr is its text
 
 
 def _fraction_text(x) -> str:
@@ -104,8 +86,6 @@ def parse_int_sequence(text: str) -> list[int]:
             terms.append(int(tok))
         except ValueError:
             raise ValueError(f"invalid integer {tok!r} in sequence") from None
-    if not terms:
-        raise ValueError("sequence must be nonempty")
     return terms
 
 
@@ -136,8 +116,6 @@ def parse_poly_sequence(text: str, characteristic: int) -> list[ffield.FFPoly]:
                 f"polynomial {tok.strip()!r} has characteristic {f.p}, "
                 f"expected {characteristic}")
         terms.append(f)
-    if not terms:
-        raise ValueError("sequence must be nonempty")
     return terms
 
 
@@ -155,10 +133,9 @@ def _parse_vegh(text: str) -> tuple[int, ...]:
 
 
 def _tpowers(m: int, p: int) -> list[ffield.FFPoly]:
-    if m < 1:
-        raise ValueError(f"--tpowers expects m >= 1, got {m}")
     from powerchains import _subsets, ffield
 
+    m = _subsets.check_bound(m, "--tpowers")
     _subsets.check_term_cap(m)  # before the powers, whose size grows with m
     t = ffield.FFPoly.gen(p)
     return [t**i for i in range(m)]
@@ -197,7 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     char = argparse.ArgumentParser(add_help=False)
     char.add_argument("--char", type=int, required=True, metavar="P",
-                      help="field characteristic")
+                      dest="characteristic", help="field characteristic")
 
     limit = argparse.ArgumentParser(add_help=False)
     limit.add_argument("--limit", type=int, required=True)
@@ -235,54 +212,52 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_config(ns: argparse.Namespace) -> RunConfig:
-    fmt = JSON if ns.json else ns.format
-    if fmt == CSV and COMMANDS[ns.command][1] is None:
-        raise ValueError(f"csv output is not available for {ns.command}; "
+def _build_config(cfg: argparse.Namespace) -> None:
+    """Validate the parsed options in place: each checked value replaces the
+    parsed one, and `ring`, `format` and `sequence` are set."""
+    from powerchains import _subsets
+
+    cfg.format = JSON if cfg.json else cfg.format
+    if cfg.format == CSV and COMMANDS[cfg.command][1] is None:
+        raise ValueError(f"csv output is not available for {cfg.command}; "
                          f"verdicts are table/json only")
-    polynomial = hasattr(ns, "char")
-    cfg = RunConfig(ns.command, "polynomial" if polynomial else "integers", fmt)
-    if hasattr(ns, "workers"):
-        cfg.workers = ns.workers if ns.workers is not None else os.cpu_count() or 1
-        if cfg.workers < 1:
-            raise ValueError(f"--workers must be >= 1, got {cfg.workers}")
+    polynomial = hasattr(cfg, "characteristic")
+    cfg.ring = "polynomial" if polynomial else "integers"
+    if hasattr(cfg, "workers"):
+        if cfg.workers is None:
+            cfg.workers = os.cpu_count() or 1
+        cfg.workers = _subsets.check_bound(cfg.workers, "--workers")
 
-    if hasattr(ns, "k"):
-        from powerchains import _subsets
-
-        cfg.k = _subsets.check_k(ns.k)
+    if hasattr(cfg, "k"):
+        cfg.k = _subsets.check_bound(cfg.k, "k")
 
     if not polynomial:
         from powerchains import arith, chains
 
         cfg.sequence = chains._terms(
-            parse_int_sequence(ns.seq) if ns.vegh is None else _parse_vegh(ns.vegh))
-        if hasattr(ns, "modulus"):
-            cfg.modulus = arith._as_prime(ns.modulus)
+            parse_int_sequence(cfg.seq) if cfg.vegh is None else _parse_vegh(cfg.vegh))
+        if hasattr(cfg, "modulus"):
+            cfg.modulus = arith._as_prime(cfg.modulus)
     else:
         from powerchains import ffield
 
-        cfg.characteristic = ffield._check_characteristic(ns.char)
-        if ns.tpowers is not None:
-            cfg.sequence = _tpowers(ns.tpowers, ns.char)
+        p = cfg.characteristic = ffield._check_characteristic(cfg.characteristic)
+        if cfg.tpowers is not None:
+            cfg.sequence = _tpowers(cfg.tpowers, p)
         else:
-            cfg.sequence = parse_poly_sequence(ns.seq, ns.char)
-        if hasattr(ns, "modulus"):
-            f = ffield.poly_from_text(ns.modulus)
-            if f.p != ns.char:
+            cfg.sequence = parse_poly_sequence(cfg.seq, p)
+        if hasattr(cfg, "modulus"):
+            f = ffield.poly_from_text(cfg.modulus)
+            if f.p != p:
                 raise ValueError(f"modulus characteristic {f.p} does not match "
-                                 f"--char {ns.char}")
+                                 f"--char {p}")
             if not f.is_monic():  # stricter than the library, which scales to monic
                 raise ValueError(f"modulus {f!r} is not monic")
             cfg.modulus = ffield._as_modulus(f)
 
     for name in ("limit", "max_degree", "max_count"):
-        v = getattr(ns, name, None)
-        if v is not None:
-            if v < 1:
-                raise ValueError(f"--{name.replace('_', '-')} must be >= 1, got {v}")
-            setattr(cfg, name, v)
-    return cfg
+        if (v := getattr(cfg, name, None)) is not None:
+            setattr(cfg, name, _subsets.check_bound(v, f"--{name.replace('_', '-')}"))
 
 
 # -- command execution ------------------------------------------------------
@@ -317,7 +292,7 @@ def _partition(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
     return out
 
 
-def _over_range(scan, cfg: RunConfig) -> list:
+def _over_range(scan, cfg: argparse.Namespace) -> list:
     """scan(terms, k, lo, hi) over a partition of [2, limit], one part per
     process and at most one process per core; the parts' results in range
     order.  Short ranges and a single part run in this process."""
@@ -333,13 +308,13 @@ def _over_range(scan, cfg: RunConfig) -> list:
                              los, his))
 
 
-def _verify(cfg: RunConfig) -> tuple[dict, int]:
+def _verify(cfg: argparse.Namespace) -> tuple[dict, int]:
     from powerchains import chains
 
     return _verdict(chains.is_permutation_chain(cfg.sequence, cfg.k, cfg.modulus))
 
 
-def _candidate_check(cfg: RunConfig) -> tuple[dict, int]:
+def _candidate_check(cfg: argparse.Namespace) -> tuple[dict, int]:
     from powerchains import chains
 
     res = chains.is_sum_distinct(cfg.sequence)
@@ -356,7 +331,7 @@ def _candidate_check(cfg: RunConfig) -> tuple[dict, int]:
     return result, 0 if res else 1
 
 
-def _search(cfg: RunConfig) -> tuple[dict, int]:
+def _search(cfg: argparse.Namespace) -> tuple[dict, int]:
     from powerchains import chains
 
     terms = cfg.sequence
@@ -377,7 +352,7 @@ def _search(cfg: RunConfig) -> tuple[dict, int]:
     return result, 0 if primes else 1
 
 
-def _density(cfg: RunConfig) -> tuple[dict, int]:
+def _density(cfg: argparse.Namespace) -> tuple[dict, int]:
     from powerchains import chains, kummer
 
     terms = cfg.sequence
@@ -396,14 +371,14 @@ def _density(cfg: RunConfig) -> tuple[dict, int]:
     return result, 0 if report.hits else 1
 
 
-def _exceptional(cfg: RunConfig) -> tuple[dict, int]:
+def _exceptional(cfg: argparse.Namespace) -> tuple[dict, int]:
     from powerchains import chains
 
     primes = list(chains.exceptional_primes(cfg.sequence))
     return {"primes": primes, "count": len(primes)}, 0
 
 
-def _ff_search(cfg: RunConfig) -> tuple[dict, int]:
+def _ff_search(cfg: argparse.Namespace) -> tuple[dict, int]:
     from powerchains import ffield
 
     moduli = ffield.find_chain_irreducibles(
@@ -449,8 +424,8 @@ COMMANDS = {
 # -- rendering --------------------------------------------------------------
 
 
-def _render_table(cfg: RunConfig, result: dict) -> str:
-    settings = {key: v for key, v in cfg.settings().items() if key != "format"}
+def _render_table(cfg: argparse.Namespace, result: dict) -> str:
+    settings = {key: v for key, v in _settings(cfg).items() if key != "format"}
     lines = []
     for key, value in [*settings.items(), *result.items()]:
         if isinstance(value, list):
@@ -467,7 +442,7 @@ def _render_table(cfg: RunConfig, result: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_csv(cfg: RunConfig, result: dict) -> str:
+def _render_csv(cfg: argparse.Namespace, result: dict) -> str:
     import csv
     import io
 
@@ -480,11 +455,12 @@ def _render_csv(cfg: RunConfig, result: dict) -> str:
     return out.getvalue()
 
 
-def render(cfg: RunConfig, result: dict) -> str:
+def render(cfg: argparse.Namespace, result: dict) -> str:
     if cfg.format == JSON:
-        # no timing here: identical configs must give byte-identical JSON
+        # no timing here: identical configs must give byte-identical JSON; a
+        # command that scans no range runs in one process
         payload = {"schema_version": SCHEMA_VERSION, "version": __version__,
-                   "config": cfg.echo(), "result": result}
+                   "config": {"workers": 1, **_settings(cfg)}, "result": result}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if cfg.format == CSV:
         return _render_csv(cfg, result)
@@ -495,10 +471,10 @@ def render(cfg: RunConfig, result: dict) -> str:
 
 
 def main(argv=None) -> int:
-    ns = _build_parser().parse_args(argv)
+    cfg = _build_parser().parse_args(argv)
     digits = sys.get_int_max_str_digits()
     try:
-        cfg = _build_config(ns)
+        _build_config(cfg)
         sys.set_int_max_str_digits(0)  # an exact density may pass 4,300 digits
         start = time.monotonic()
         try:

@@ -354,8 +354,7 @@ class FFPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative exponents are not supported")
+        e = _subsets.check_bound(e, "exponent", 0)
         p, result, base = self.p, (1,), self.coeffs
         while e:
             if e & 1:
@@ -448,9 +447,7 @@ def poly_from_text(text: str) -> FFPoly:
 
 def powmod(base: FFPoly, exp: int, modulus: FFPoly) -> FFPoly:
     """base^exp mod modulus by square-and-multiply."""
-    exp = index(exp)
-    if exp < 0:
-        raise ValueError("exponent must be nonnegative")
+    exp = _subsets.check_bound(exp, "exponent", 0)
     if modulus.degree < 1:
         raise ValueError("modulus must have degree >= 1")
     if base.p != modulus.p:
@@ -576,9 +573,7 @@ def irreducibles_of_degree(p: int, d: int) -> list[FFPoly]:
     list.  Raises SizeLimitError when p^d passes MAX_MONICS.
     """
     p = _check_characteristic(index(p))
-    d = index(d)
-    if d < 1:
-        raise ValueError(f"degree must be >= 1, got {d}")
+    d = _subsets.check_bound(d, "degree")
     _check_monic_count(p, range(d, d + 1))
     return [FFPoly._of(p, f) for f in _irreducible_coeffs(p, d)]
 
@@ -614,7 +609,7 @@ def _poly_power(a: FFPoly, e: int, f: FFPoly) -> FFPoly:
 
 
 def _ring(k: int, f) -> _subsets.Ring:
-    k = _subsets.check_k(k)
+    k = _subsets.check_bound(k, "k")
     f = _as_modulus(f)
     exponent = _subsets.residue_exponent(_strip_char(k, f.p), f.p**f.degree)
     return _subsets.Ring(f, k, exponent, _poly_power, FFPoly.one(f.p), _sort_key,
@@ -671,10 +666,8 @@ def find_chain_irreducibles(r, k: int, p: int, max_degree: int) -> list[FFPoly]:
     p = _check_characteristic(index(p))
     if terms[0].p != p:
         raise ValueError(f"candidate lives over F_{terms[0].p}, not F_{p}")
-    k = _subsets.check_k(k)
-    max_degree = index(max_degree)
-    if max_degree < 1:
-        raise ValueError(f"max_degree must be >= 1, got {max_degree}")
+    k = _subsets.check_bound(k, "k")
+    max_degree = _subsets.check_bound(max_degree, "max_degree")
     _check_monic_count(p, range(1, max_degree + 1))
     values = sorted(_subsets.require_sum_distinct(terms, f" over F_{p}[t]"),
                     key=_sort_key)

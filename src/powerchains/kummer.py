@@ -64,7 +64,7 @@ def exponent_vector(a: int, k: int) -> tuple[tuple[int, int], ...]:
     a = index(a)
     if a == 0:
         raise ValueError("0 has no class modulo kth powers")
-    k = _subsets.check_k(k)
+    k = _subsets.check_bound(k, "k")
     return _exponent_vectors([a], k)[0]
 
 
@@ -135,7 +135,7 @@ def class_group(E, k: int) -> KummerClassGroup:
     mod k against pivots that each divide k, so composite k needs no split
     into prime powers.
     """
-    k = _subsets.check_k(k)
+    k = _subsets.check_bound(k, "k")
     elements = sorted(set(map(index, E)))
     gens = tuple(_exponent_vectors([c for c in elements if c], k))
     positions = tuple(sorted({pos for g in gens for pos, _ in g}))
@@ -193,9 +193,7 @@ def density_report_from_counts(r, k: int, limit: int, total: int,
     """Assemble a DensityReport from externally accumulated counts over the
     primes in [2, limit].  Its exceptional primes are those up to the limit,
     from `chains.exceptional_primes(r, limit=limit)`."""
-    limit = index(limit)
-    if limit < 2:
-        raise ValueError(f"limit must be >= 2, got {limit}")
+    limit = _subsets.check_bound(limit, "limit", 2)
     terms = chains._terms(r)
     sd, values = _subsets.sum_distinct(terms)
     predicted = predicted_density(values, k)

@@ -151,6 +151,14 @@ def test_search_and_density_malformed_inputs(capsys):
     assert run(capsys, "exceptional", "--seq", "a,b")[0] == 2
     assert run(capsys, "ff-search", "--char", "3", "--k", "2", "--tpowers", "3",
                "--max-degree", "0")[0] == 2
+    for argv, message in (
+            (("search", "--k", "2", "--seq", "1,2", "--limit", "10", "--workers", "0"),
+             "--workers must be >= 1, got 0"),
+            (("search", "--k", "2", "--vegh", "3,x", "--limit", "10"),
+             "--vegh expects integers 'm,base', got '3,x'"),
+            (("ff-search", "--char", "3", "--k", "2", "--tpowers", "0",
+              "--max-degree", "2"), "--tpowers must be >= 1, got 0")):
+        assert run(capsys, *argv) == (2, "", f"powerchains: error: {message}\n"), argv
 
 
 # ---------- density ----------
@@ -653,7 +661,8 @@ print(*sorted(name.removeprefix("powerchains.") for name in sys.modules))
 
 @pytest.mark.parametrize("argv, loads, leaves", [
     pytest.param(["--version"], set(),
-                 {"_subsets", "arith", "chains", "ffield", "kummer", "fractions", "numpy"},
+                 {"_subsets", "arith", "chains", "ffield", "kummer", "fractions", "numpy",
+                  "dataclasses", "inspect"},
                  id="version"),
     pytest.param(["ff-search", "--char", "3", "--k", "2", "--tpowers", "2",
                   "--max-degree", "3"],

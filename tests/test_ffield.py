@@ -323,8 +323,16 @@ def test_kth_residue_ff_validation():
         for k in (0, -3):
             with pytest.raises(ValueError):
                 call(r, k, f)
+        with pytest.raises(ValueError, match="^candidate sequence must have at least one term$"):
+            call([], 2, f)
+        with pytest.raises(ValueError, match="^candidate terms must share one characteristic$"):
+            call([FFPoly.one(3), FFPoly.gen(5)], 2, f)
     with pytest.raises(ValueError):
         find_chain_irreducibles(r, 0, 3, 2)
+    with pytest.raises(ValueError, match="^modulus must have degree >= 1$"):
+        powmod(FFPoly.gen(3), 2, P(3, 2))
+    with pytest.raises(ValueError, match="^characteristic mismatch: F_5 vs F_3$"):
+        powmod(FFPoly.gen(5), 2, f)
 
 
 # ---------- polynomial chains ----------
