@@ -2,8 +2,9 @@
 serves Z and F_p[t] alike.
 
 Subset-sum machinery works on any sequence of addable, hashable elements.
-Subsets are reported as tuples of 1-based term indices; enumeration follows
-increasing bitmask order, which makes every witness reproducible.
+Subsets are reported as tuples of 1-based term indices.  The collision
+witness is the first repeat in increasing bitmask order, found by one pass
+that stops there, which makes every witness reproducible.
 
 The chain semantics (window, cyclic and permutation verdicts, the literal
 all-orderings verifier, and the per-modulus test used by the searches) are
@@ -46,18 +47,6 @@ def check_bound(v, name: str, low: int = 1) -> int:
     return v
 
 
-def mask_indices(mask: int) -> tuple[int, ...]:
-    """1-based indices of the set bits of mask, ascending."""
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
-
-
 def subset_values(items) -> set:
     """The set of all nonempty subset sums, by incremental extension."""
     values: set = set()
@@ -65,27 +54,6 @@ def subset_values(items) -> set:
         values |= {s + x for s in values}
         values.add(x)
     return values
-
-
-def first_sum_collision(items):
-    """First pair of distinct subsets with equal sums, in mask order.
-
-    Returns (indices_a, indices_b, value) or None when all 2^n - 1 nonempty
-    subset sums are pairwise distinct.  The sum of each mask extends the sum
-    of the mask without its lowest bit.
-    """
-    items = list(items)
-    sums = [None] * (1 << len(items))
-    seen: dict = {}
-    for mask in range(1, len(sums)):
-        low = mask & -mask
-        rest = mask ^ low
-        x = items[low.bit_length() - 1]
-        sums[mask] = s = x if rest == 0 else sums[rest] + x
-        if s in seen:
-            return mask_indices(seen[s]), mask_indices(mask), s
-        seen[s] = mask
-    return None
 
 
 @dataclass(frozen=True)
@@ -108,16 +76,25 @@ def sum_distinct(terms: tuple) -> tuple[SumDistinctResult, frozenset]:
     for the tuple `terms`.
 
     E is returned either way; it is deduplicated when the candidate is not
-    sum-distinct.  The collision witness is the first in bitmask order.  The
-    last result is kept, so the calls one job makes on the same terms build
-    E once.
+    sum-distinct.  The witness pass doubles the sums term by term (masks
+    2^j .. 2^(j+1) - 1 add term j to those below 2^j), so it meets the masks
+    in order and stops at the first collision.  The last result is kept, so
+    the calls one job makes on the same terms build E once.
     """
     check_term_cap(len(terms))
     values = frozenset(subset_values(terms))
     if len(values) == (1 << len(terms)) - 1:
         return SumDistinctResult(True), values
-    a, b, s = first_sum_collision(terms)
-    return SumDistinctResult(False, (a, b), s), values
+    sums, seen = [None], {}  # sums[mask]; mask 0 is the empty subset
+    for j, x in enumerate(terms):
+        for rest in range(1 << j):
+            mask, s = rest | 1 << j, sums[rest] + x if rest else x
+            if s in seen:
+                a, b = (tuple(i + 1 for i in range(j + 1) if m >> i & 1)
+                        for m in (seen[s], mask))
+                return SumDistinctResult(False, (a, b), s), values
+            seen[s] = mask
+            sums.append(s)
 
 
 def require_sum_distinct(terms, where: str = "") -> frozenset:

@@ -179,9 +179,8 @@ def _block_divisors(n: int, bound: int, table=None):
 
 
 def _pollard_brent(n: int) -> int:
-    """A nontrivial factor of composite n (deterministic parameter schedule)."""
-    if n % 2 == 0:
-        return 2
+    """A nontrivial factor of a composite n with no prime factor up to 10^6,
+    odd in particular (deterministic parameter schedule)."""
     for c in range(1, 100):
         y, m = 2 + c, 128
         g, r, q = 1, 1, 1

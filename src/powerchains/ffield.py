@@ -210,12 +210,11 @@ def _powmod(a: tuple, e: int, m: _Modulus) -> tuple:
 
 
 def _norm(a: tuple, m: _Modulus) -> int:
-    """N(a) = Res(f, a) mod p for a reduced mod the monic f of m: the product
-    of a over the roots of f, by Euclid's algorithm on kernel tuples."""
+    """N(a) = Res(f, a) mod p for a nonzero a reduced mod the monic irreducible
+    f of m: the product of a over the roots of f, by Euclid's algorithm on
+    kernel tuples, whose remainders stay nonzero until a is a constant."""
     f, p, out = m.f, m.p, 1
     while len(f) > 1:
-        if not a:
-            return 0
         # with a = c * a~, a~ monic, and f = u * a~ + r:
         # N_f(a) = c^deg f * (-1)^(deg f * deg a) * N_a~(r)
         d, c = len(f) - 1, a[-1]
@@ -230,9 +229,10 @@ def _norm(a: tuple, m: _Modulus) -> int:
 
 
 def _residue_power(a: tuple, e: int, m: _Modulus) -> tuple:
-    """a^e mod m for an irreducible m, e >= 0.  In the residue field F_q,
-    q = p^deg m, a^n with n = (q-1)/(p-1) is the norm N(a) in F_p; so when n
-    divides e, a^e is the constant N(a)^(e/n).  Otherwise `_powmod`."""
+    """a^e mod m for an irreducible m, a nonzero mod m and e >= 0.  In the
+    residue field F_q, q = p^deg m, a^n with n = (q-1)/(p-1) is the norm N(a)
+    in F_p; so when n divides e, a^e is the constant N(a)^(e/n).  Otherwise
+    `_powmod`.  `Ring.is_residue` settles 0 before it asks for a power."""
     p = m.p
     n = (p ** (len(m.f) - 1) - 1) // (p - 1)
     if e % n:

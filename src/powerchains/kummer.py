@@ -17,7 +17,9 @@ The elements of E are factored in one batch, which finds every prime that
 divides some element before any element is split.  |G| comes from one
 row-echelon pass over Z on these sparse vectors, with kZ^n kept implicit
 and every entry off the pivot reduced mod k; each pivot d divides k and
-contributes k/d, for prime and composite k alike.
+contributes k/d, for prime and composite k alike.  Each row pivots at its
+largest prime, which seldom divides another element, so most rows become
+pivots untouched and the pass meets little fill-in even at rank near 2^16.
 
 For k = 2 the bound is exact: a is a square mod p iff p splits in Q(sqrt a),
 so chain primes for k = 2 are exactly the split-completely primes outside the
@@ -86,18 +88,20 @@ def _subgroup_order(rows, k: int) -> int:
 
     The subgroup is L/kZ^n for the lattice L spanned over Z by the lifted rows
     and kZ^n, so its order is the product of k/d over the diagonal entries d
-    of a row-echelon basis of L.  Each row is reduced against the pivots in
-    position order.  The row k*e_j stands in as the pivot at j until a row
-    first leads there.  Entries at the pivot position go through Euclid's
-    algorithm on whole rows, which swaps the rows on a nonzero remainder, and
-    every other entry is reduced mod k.  Each pivot therefore divides k, for
-    any k.
+    of a row-echelon basis of L.  Each row leads at its largest position,
+    which avoids fill-in: the largest prime of an element of E seldom
+    divides another element, so most rows land in an empty column and
+    become pivots untouched.  The row k*e_j stands in as the pivot at j
+    until a row first leads there.  Entries at the pivot position go through
+    Euclid's algorithm on whole rows, which swaps the rows on a nonzero
+    remainder, and every other entry is reduced mod k.  Each pivot therefore
+    divides k, for any k.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         r = {pos: e % k for pos, e in row if e % k}
         while r:
-            j = min(r)
+            j = max(r)
             piv = pivots.get(j, {j: k})
             q = r[j] // piv[j]
             r = {pos: v for pos in r.keys() | piv.keys()

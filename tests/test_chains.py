@@ -1,7 +1,11 @@
 import random
+import subprocess
+import sys
 import time
+from functools import reduce
 from itertools import permutations
 from math import gcd
+from operator import add
 
 import pytest
 
@@ -20,6 +24,7 @@ from powerchains.chains import (
     vegh_sequence,
 )
 from powerchains.errors import InvalidCandidateError, OverflowLimitError, SizeLimitError
+from powerchains.ffield import FFPoly
 from powerchains.kummer import (density_counts_in_range, density_report_from_counts,
                                 empirical_density)
 
@@ -132,6 +137,60 @@ def test_sum_distinct_witness_is_valid():
             a, b = res.collision
             assert a != b
             assert sum(seq[i - 1] for i in a) == sum(seq[i - 1] for i in b) == res.colliding_sum
+
+
+def first_collision_in_mask_order(terms):
+    """Definition-level oracle: (indices_a, indices_b, sum) for the first
+    mask whose subset sum an earlier nonempty mask already had, or None."""
+    def indices(mask):
+        return tuple(i + 1 for i in range(len(terms)) if mask >> i & 1)
+
+    seen = {}
+    for mask in range(1, 1 << len(terms)):
+        s = reduce(add, (terms[i - 1] for i in indices(mask)))
+        if s in seen:
+            return indices(seen[s]), indices(mask), s
+        seen[s] = mask
+    return None
+
+
+def test_witness_is_the_first_collision_in_mask_order():
+    # drawn integer candidates of up to 8 small terms, so that most collide,
+    # and polynomial candidates over F_2, F_3 and F_5 of low degree
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    polys = st.sampled_from((2, 3, 5)).flatmap(lambda p: st.lists(
+        st.lists(st.integers(0, p - 1), max_size=3).map(lambda c: FFPoly(p, c)),
+        min_size=1, max_size=6))
+    candidates = st.one_of(
+        st.lists(st.integers(-12, 40), min_size=1, max_size=8), polys)
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(candidates)
+    def agrees(r):
+        res = is_sum_distinct(r)
+        want = first_collision_in_mask_order(r)
+        if want is None:
+            assert res and res.collision is None, r
+        else:
+            assert not res, r
+            assert (*res.collision, res.colliding_sum) == want, r
+
+    agrees()
+
+
+def test_an_early_collision_is_found_without_every_subset_sum():
+    # [1] * 24 collides at its second mask; the witness pass stops there
+    # instead of holding all 2^24 subset sums.  The peak is the child's own
+    # VmHWM, as in the sieve's memory test
+    script = ("from powerchains.chains import is_sum_distinct\n"
+              "assert is_sum_distinct([1] * 24).collision == ((1,), (2,))\n"
+              "with open('/proc/self/status') as f:\n"
+              "    print(next(l.split()[1] for l in f if l.startswith('VmHWM:')))")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert int(out) < 50 * 1024  # KiB; a table of 2^24 sums alone takes 128 MB
 
 
 # ---------- chain / cyclic / permutation verdicts ----------

@@ -168,6 +168,13 @@ def test_characteristic_mismatch_and_zero_division():
         divmod(P(3, 1, 1), FFPoly.zero(3))
     with pytest.raises(ValueError):
         FFPoly(4, (1,))  # 4 is not prime
+    # an operand that is neither an FFPoly nor an int is refused
+    t = FFPoly.gen(5)
+    for other in (1.5, "1"):
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+                   divmod, lambda a, b: b - a):
+            with pytest.raises(TypeError):
+                op(t, other)
 
 
 def test_int_coercion():
@@ -176,6 +183,9 @@ def test_int_coercion():
     assert t - 1 == P(3, 2, 1)
     assert 2 * t == P(3, 0, 2)
     assert t**2 == P(3, 0, 0, 1)
+    t = FFPoly.gen(5)
+    assert 3 - t == P(5, 3, 4)
+    assert (t**2 + 1) // (t + 1) == P(5, 4, 1)
 
 
 # ---------- irreducibility ----------

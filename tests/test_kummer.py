@@ -40,16 +40,17 @@ def subgroup_order_bfs(vectors, k):
 
 
 def gf2_rank(rows):
-    """Independent oracle for k = 2: rank of bitmask rows over GF(2)."""
-    rank = 0
-    basis = []
+    """Independent oracle for k = 2: rank of bitmask rows over GF(2), each
+    row XOR-reduced by the basis row that shares its top bit."""
+    basis = {}
     for row in rows:
-        for b in basis:
-            row = min(row, row ^ b)
-        if row:
-            basis.append(row)
-            rank += 1
-    return rank
+        while row:
+            top = row.bit_length()
+            if top not in basis:
+                basis[top] = row
+                break
+            row ^= basis[top]
+    return len(basis)
 
 
 def squarefree_part(n):
@@ -238,6 +239,42 @@ def test_k2_order_is_two_to_the_squarefree_rank():
         assert g.subgroup_order == 2 ** gf2_rank(masks), sorted(E)
 
 
+def test_k2_order_is_two_to_the_rank_of_the_exponent_rows():
+    # the elimination against GF(2) elimination on bitmask rows, bit i set
+    # when the ith position divides the element to an odd power: on the
+    # balanced-ternary sets up to m = 14 (16,383 elements), whose rows each
+    # lead at a prime few other elements share, and on drawn integer sets
+    def check(E):
+        g = class_group(E, 2)
+        bit = {pos: i for i, pos in enumerate(g.positions)}
+        masks = [sum(1 << bit[pos] for pos, _ in row) for row in g.generators]
+        assert g.subgroup_order == 2 ** gf2_rank(masks), sorted(E)[:8]
+
+    for m in range(1, 15):
+        check(subset_sums(vegh_sequence(m, 3)))
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=80, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.sets(st.one_of(st.integers(-400, 400),
+                                        st.integers(-2**40, 2**40)),
+                              min_size=1, max_size=40))
+    def drawn(E):
+        check(E)
+
+    drawn()
+
+
+def test_orders_of_a_balanced_ternary_set_for_composite_k():
+    # vegh_sequence(12, 3) at k = 2 has 2-rank 1,141; the orders for the
+    # other k are pinned at the values the min-position elimination gave
+    E = subset_sums(vegh_sequence(12, 3))
+    for k, want in ((3, 3**1142), (4, 2**2283), (6, 2**1141 * 3**1142),
+                    (12, 2**2283 * 3**1142)):
+        assert class_group(E, k).subgroup_order == want, k
+
+
 def test_order_is_multiplicative_over_coprime_k():
     # G in Q*/(Q*)^ab splits as the product of its images mod ath and mod bth
     # powers when gcd(a, b) = 1, so the orders multiply
@@ -346,5 +383,7 @@ def test_density_counts_partition_and_assembly():
 def test_density_report_validation():
     with pytest.raises(ValueError):
         DensityReport(10, 5, 6, Fraction(6, 5), Fraction(1, 2), ())
+    with pytest.raises(ValueError, match=r"^predicted density must lie in \(0, 1\]$"):
+        DensityReport(10, 5, 1, Fraction(1, 5), Fraction(0), ())
     with pytest.raises(ValueError):
         empirical_density([1], 2, 1)
