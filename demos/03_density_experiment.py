@@ -25,9 +25,9 @@ header = f"{'candidate':>12}  {'k':>2}  {'|G|':>4}  {'predicted':>10}  {'empiric
 print(header)
 print("-" * len(header))
 for terms, k in experiments:
-    g = class_group(subset_sums(terms), k)
+    order = class_group(subset_sums(terms), k)
     rep = empirical_density(terms, k, LIMIT)
-    print(f"{str(terms):>12}  {k:>2}  {g.subgroup_order:>4}  "
+    print(f"{str(terms):>12}  {k:>2}  {order:>4}  "
           f"{str(rep.predicted_lower_bound):>10}  {float(rep.empirical):>10.5f}  "
           f"{rep.hits:>6}")
 

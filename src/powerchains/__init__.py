@@ -45,7 +45,6 @@ _EXPORTS = {
     "poly_from_text": "ffield",
     "poly_to_text": "ffield",
     "DensityReport": "kummer",
-    "KummerClassGroup": "kummer",
     "class_group": "kummer",
     "empirical_density": "kummer",
     "exponent_vector": "kummer",

@@ -17,12 +17,11 @@ and a kernel coefficient tuple by an `ffield._Modulus` in the F_p[t] search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, permutations
 from math import gcd
 from operator import index
-from typing import Callable
 
 from powerchains.errors import InvalidCandidateError, SizeLimitError
 
@@ -56,15 +55,14 @@ def subset_values(items) -> set:
     return values
 
 
-@dataclass(frozen=True)
-class SumDistinctResult:
+class SumDistinctResult(namedtuple("SumDistinctResult",
+                                   "distinct collision colliding_sum",
+                                   defaults=(None, None))):
     """Outcome of the candidate condition: truthy iff all nonempty subset
     sums are pairwise distinct; otherwise `collision` holds two 1-based index
-    subsets with the same sum."""
+    subsets with the same sum, `colliding_sum`."""
 
-    distinct: bool
-    collision: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    colliding_sum: object = None
+    __slots__ = ()
 
     def __bool__(self):
         return self.distinct
@@ -108,27 +106,24 @@ def require_sum_distinct(terms, where: str = "") -> frozenset:
     return values
 
 
-@dataclass(frozen=True)
-class ChainFailure:
-    """First violated sum for a failed verdict level."""
+class ChainFailure(namedtuple("ChainFailure", "level kind values description")):
+    """First violated sum for a failed verdict level: `level` is "chain",
+    "cyclic" or "permutation", `kind` is "non_residue" or "collision", and
+    `values` holds the offending sums."""
 
-    level: str  # "chain" | "cyclic" | "permutation"
-    kind: str  # "non_residue" | "collision"
-    values: tuple
-    description: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ChainVerdict:
+class ChainVerdict(namedtuple("ChainVerdict",
+                              "is_chain is_cyclic is_permutation failure_witness",
+                              defaults=(None,))):
     """Chain / cyclic-chain / permutation-chain verdict for one (r, k, modulus).
 
-    is_permutation implies is_cyclic implies is_chain.
+    is_permutation implies is_cyclic implies is_chain; `failure_witness` is
+    a ChainFailure, or None when all three hold.
     """
 
-    is_chain: bool
-    is_cyclic: bool
-    is_permutation: bool
-    failure_witness: ChainFailure | None = None
+    __slots__ = ()
 
 
 def ordinal(k: int) -> str:
@@ -146,23 +141,23 @@ def residue_exponent(k: int, q: int) -> int | None:
     return None if g == 1 else (q - 1) // g
 
 
-@dataclass(frozen=True)
 class Ring:
     """One modulus m of Z or F_p[t], as the chain core sees it.
 
     `exponent` is residue_exponent(k', q) for the residue field of size q,
     where k' is the part of k that can change the residue test (k itself over
-    Z, its prime-to-p part over F_p[t]); `k` is kept for messages.  `phrase`
-    places the exact subset sums in their ring ("over the integers").
+    Z, its prime-to-p part over F_p[t]); `k` is kept for messages.  `power`
+    is pow(a, e, m) for the ring, `one` its unit, and `sort_key` orders E
+    for the per-modulus test (None: by value).  `phrase` places the exact
+    subset sums in their ring ("over the integers").
     """
 
-    modulus: object
-    k: int
-    exponent: int | None
-    power: Callable
-    one: object
-    sort_key: Callable | None
-    phrase: str
+    __slots__ = ("modulus", "k", "exponent", "power", "one", "sort_key", "phrase")
+
+    def __init__(self, modulus, k: int, exponent: int | None, power, one,
+                 sort_key, phrase: str):
+        self.modulus, self.k, self.exponent = modulus, k, exponent
+        self.power, self.one, self.sort_key, self.phrase = power, one, sort_key, phrase
 
     def is_residue(self, a) -> bool:
         """a, already reduced mod m, is a kth power residue (0, which is

@@ -53,7 +53,6 @@ The zero polynomial prints as GF(p)[0].
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from operator import index
@@ -244,24 +243,24 @@ def _residue_power(a: tuple, e: int, m: _Modulus) -> tuple:
 # -- polynomials --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FFPoly:
     """Dense polynomial over F_p: coeffs[i] is the coefficient of t^i.
 
     Instances are normalized (coefficients reduced mod p, no trailing zeros;
-    the zero polynomial has an empty coefficient tuple) and hashable, so they
-    can live in sets of subset sums.  `coeffs` is a kernel tuple, and every
-    operator is computed on it by the kernel.  p and the coefficients are
-    taken through `operator.index`, so a float raises TypeError.
+    the zero polynomial has an empty coefficient tuple), immutable and
+    hashable, so they can live in sets of subset sums; two are equal when
+    their p and coefficients are, and an int equals none of them.  `coeffs`
+    is a kernel tuple, and every operator is computed on it by the kernel.
+    p and the coefficients are taken through `operator.index`, so a float
+    raises TypeError.
     """
 
-    p: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("p", "coeffs")
 
-    def __post_init__(self):
-        p = _check_characteristic(index(self.p))
+    def __init__(self, p: int, coeffs):
+        p = _check_characteristic(index(p))
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", _trim([index(c) % p for c in self.coeffs]))
+        object.__setattr__(self, "coeffs", _trim([index(c) % p for c in coeffs]))
 
     @classmethod
     def _of(cls, p: int, coeffs: tuple) -> "FFPoly":
@@ -271,6 +270,23 @@ class FFPoly:
         object.__setattr__(obj, "p", p)
         object.__setattr__(obj, "coeffs", coeffs)
         return obj
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to {name!r}: FFPoly is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.p, self.coeffs))
+
+    def __reduce__(self):
+        # pickle and copy would otherwise restore the slots by assignment
+        return FFPoly, (self.p, self.coeffs)
 
     # -- constructors ------------------------------------------------------
 

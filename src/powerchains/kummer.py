@@ -34,14 +34,13 @@ come from trial division alone, with no Pollard rho.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import index
 
 from powerchains import _subsets, arith, chains
 
 __all__ = [
-    "KummerClassGroup",
     "DensityReport",
     "exponent_vector",
     "class_group",
@@ -114,38 +113,23 @@ def _subgroup_order(rows, k: int) -> int:
     return order
 
 
-@dataclass(frozen=True)
-class KummerClassGroup:
-    """Subgroup of Q*/(Q*)^k generated by the nonzero elements of E; each
-    generator is its `exponent_vector`."""
-
-    k: int
-    generators: tuple[tuple[tuple[int, int], ...], ...]
-    positions: tuple[int, ...]
-    subgroup_order: int
-    excluded_zeros: int = 0
-
-
-def class_group(E, k: int) -> KummerClassGroup:
-    """Class group data for a subset-sum set (or any iterable of integers).
+def class_group(E, k: int) -> int:
+    """Order of the subgroup of Q*/(Q*)^k generated by a subset-sum set (or
+    any iterable of integers).
 
     The generators are the exponent vectors of the nonzero elements, in
     ascending order of the element.  All of them are factored in one batch:
     one trial division of chunk products finds every prime that divides
     some element, and each element is then divided by those primes alone.
     Zero elements generate nothing (0 is a residue at every prime) and are
-    excluded but counted.  The order is computed by one gcd elimination
-    over the lifted integer matrix: the sparse exponent vectors are reduced
-    mod k against pivots that each divide k, so composite k needs no split
-    into prime powers.
+    left out.  The order is computed by one gcd elimination over the lifted
+    integer matrix: the sparse exponent vectors are reduced mod k against
+    pivots that each divide k, so composite k needs no split into prime
+    powers.
     """
     k = _subsets.check_bound(k, "k")
-    elements = sorted(set(map(index, E)))
-    gens = tuple(_exponent_vectors([c for c in elements if c], k))
-    positions = tuple(sorted({pos for g in gens for pos, _ in g}))
-    order = _subgroup_order(gens, k)
-    zeros = len(elements) - len(gens)
-    return KummerClassGroup(k, gens, positions, order, zeros)
+    elements = [c for c in sorted(set(map(index, E))) if c]
+    return _subgroup_order(_exponent_vectors(elements, k), k)
 
 
 def predicted_density(E, k: int) -> Fraction:
@@ -156,27 +140,31 @@ def predicted_density(E, k: int) -> Fraction:
     a lower bound for k > 2, where classes may collapse over the kth
     cyclotomic field.
     """
-    g = class_group(E, k)
-    return Fraction(1, arith.euler_phi(g.k) * g.subgroup_order)
+    order = class_group(E, k)  # checks k before euler_phi sees it
+    return Fraction(1, arith.euler_phi(k) * order)
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(namedtuple("DensityReport",
+                               "limit total_primes hits empirical "
+                               "predicted_lower_bound exceptional_excluded")):
     """Empirical count of permutation-chain primes against the predicted
-    Chebotarev lower bound."""
+    Chebotarev lower bound.  `empirical` and `predicted_lower_bound` are
+    Fractions; `exceptional_excluded` is the ascending tuple of exceptional
+    primes up to `limit`."""
 
-    limit: int
-    total_primes: int
-    hits: int
-    empirical: Fraction
-    predicted_lower_bound: Fraction
-    exceptional_excluded: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.hits <= self.total_primes:
+    def __new__(cls, limit, total_primes, hits, empirical, predicted_lower_bound,
+                exceptional_excluded):
+        if not 0 <= hits <= total_primes:
             raise ValueError("hits must lie in [0, total_primes]")
-        if not 0 < self.predicted_lower_bound <= 1:
+        if not 0 < predicted_lower_bound <= 1:
             raise ValueError("predicted density must lie in (0, 1]")
+        return super().__new__(cls, limit, total_primes, hits, empirical,
+                               predicted_lower_bound, exceptional_excluded)
+
+    # `_replace` builds through `_make`, which would skip the checks
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
 def density_counts_in_range(r, k: int, lo: int, hi: int) -> tuple[int, int]:

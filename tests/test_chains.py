@@ -9,9 +9,11 @@ from operator import add
 
 import pytest
 
-from powerchains import arith
+from powerchains import arith, ffield
 from powerchains.chains import (
+    ChainFailure,
     ChainVerdict,
+    SumDistinctResult,
     chain_primes_in_range,
     exceptional_primes,
     find_chain_primes,
@@ -217,6 +219,44 @@ def test_permutation_chain_verdict_examples():
     assert v.failure_witness.kind == "non_residue"
     assert v.failure_witness.description == \
         "window sum 3 is not a 2nd power residue mod 7"
+
+
+def test_result_types_build_by_keyword_with_defaults():
+    assert ChainVerdict(True, True, True).failure_witness is None
+    v = ChainVerdict(is_chain=True, is_cyclic=False, is_permutation=False)
+    assert v == ChainVerdict(True, False, False, None)
+    assert (v.is_chain, v.is_cyclic, v.is_permutation) == (True, False, False)
+    fail = ChainFailure(level="chain", kind="collision", values=(1, 8),
+                        description="window sums 1 and 8 are congruent mod 7")
+    assert fail == ChainFailure("chain", "collision", (1, 8),
+                                "window sums 1 and 8 are congruent mod 7")
+    assert ChainVerdict(False, False, False, fail).failure_witness.values == (1, 8)
+    assert repr(ChainVerdict(True, True, True)) == (
+        "ChainVerdict(is_chain=True, is_cyclic=True, is_permutation=True, "
+        "failure_witness=None)")
+    assert bool(SumDistinctResult(False)) is False
+    assert bool(SumDistinctResult(True)) is True
+    res = SumDistinctResult(distinct=False, collision=((1, 2), (3,)), colliding_sum=3)
+    assert bool(res) is False and res == is_sum_distinct([1, 2, 3])
+    assert SumDistinctResult(True).collision is None
+    assert SumDistinctResult(True).colliding_sum is None
+    # frozen values: no field can be reassigned, and equal values hash alike
+    for value, fields in ((v, ("is_chain", "is_cyclic", "is_permutation", "failure_witness")),
+                          (fail, ("level", "kind", "values", "description")),
+                          (res, ("distinct", "collision", "colliding_sum"))):
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+        rebuilt = value.__class__(**{name: getattr(value, name) for name in fields})
+        assert rebuilt == value and hash(rebuilt) == hash(value)
+
+
+def test_the_rings_of_the_chain_core_hold_no_instance_dict():
+    # a Ring is built per modulus in the searches, so it is a slotted
+    # class: no __dict__ to fill or to carry
+    for ring in (arith._ring(2, 7), ffield._ring(2, FFPoly(5, (1, 1, 1)))):
+        assert not hasattr(ring, "__dict__")
+        assert ring.k == 2
 
 
 def test_permutation_chain_at_first_found_prime():

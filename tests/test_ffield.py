@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import product
 
@@ -186,6 +188,29 @@ def test_int_coercion():
     t = FFPoly.gen(5)
     assert 3 - t == P(5, 3, 4)
     assert (t**2 + 1) // (t + 1) == P(5, 4, 1)
+
+
+def test_ffpoly_is_an_immutable_hashable_value():
+    # equal polynomials hash alike, and the hash is that of the tuple
+    # (p, coeffs): it fixes the iteration order of a set of polynomials, and
+    # with it the order of what the commands print
+    f, g = FFPoly(5, (7, -1, 0)), P(5, 2, 4)
+    assert f == g and f is not g and hash(f) == hash(g) == hash((5, (2, 4)))
+    assert f != P(5, 2, 4, 1) and f != P(7, 2, 4)
+    assert FFPoly.zero(3) == FFPoly(3, ()) and hash(FFPoly.zero(3)) == hash((3, ()))
+    # an int is never equal to a polynomial, not even to a constant
+    assert FFPoly(3, (1,)) != 1 and 1 != FFPoly(3, (1,))
+    assert FFPoly(3, (1,)) != (3, (1,))
+    assert len({P(3, 1, 2), P(3, 1, 2), P(3, 4, 5), P(3, 2)}) == 2
+    for name in ("p", "coeffs"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, 3)
+        with pytest.raises(AttributeError):
+            delattr(f, name)
+    assert (f.p, f.coeffs) == (5, (2, 4))
+    assert pickle.loads(pickle.dumps(f)) == f
+    assert copy.deepcopy(f) == f
+    assert repr(f) == "GF(5)[2,4]"
 
 
 # ---------- irreducibility ----------

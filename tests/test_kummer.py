@@ -111,24 +111,35 @@ def test_exponent_vector_of_a_prime_power_stops_trial_division_early(monkeypatch
 
 # ---------- class group ----------
 
+def exponent_rows(E, k):
+    """The generators of G: the exponent vectors of the nonzero elements of
+    E in ascending order, each factored alone, and the positions they use."""
+    rows = [exponent_vector(c, k) for c in sorted(E) if c]
+    return rows, sorted({pos for row in rows for pos, _ in row})
+
+
 def test_class_group_vegh_example():
     # squarefree parts of 2,3,5,6,7 span a rank-4 space over GF(2)
-    g = class_group(subset_sums([1, 2, 4]), 2)
-    assert g.subgroup_order == 16
-    assert g.positions == (2, 3, 5, 7)
-    assert g.excluded_zeros == 0
+    E = subset_sums([1, 2, 4])
+    assert class_group(E, 2) == 16
+    assert exponent_rows(E, 2)[1] == [2, 3, 5, 7]
+    assert 0 not in E
 
 
 def test_class_group_trivial_cases():
-    assert class_group({1}, 5).subgroup_order == 1
-    assert class_group({1, 2, 6, 30}, 1).subgroup_order == 1
-    assert class_group({4, 9, 36}, 2).subgroup_order == 1
+    assert class_group({1}, 5) == 1
+    assert class_group({1, 2, 6, 30}, 1) == 1
+    assert class_group({4, 9, 36}, 2) == 1
 
 
 def test_class_group_excludes_zero():
-    g = class_group(subset_sums([1, -1]), 2)
-    assert g.excluded_zeros == 1
-    assert g.subgroup_order == 2  # the class of -1
+    # 0 has no class (exponent_vector refuses it); it generates nothing
+    E = subset_sums([1, -1])
+    assert 0 in E
+    with pytest.raises(ValueError):
+        exponent_vector(0, 2)
+    assert class_group(E, 2) == 2  # the class of -1
+    assert class_group(E - {0}, 2) == 2
 
 
 def test_class_group_matches_bfs_oracle_on_integers():
@@ -137,17 +148,18 @@ def test_class_group_matches_bfs_oracle_on_integers():
         k = rng.randrange(1, 7)
         gens = [rng.randrange(2, 51) * rng.choice((1, -1))
                 for _ in range(rng.randrange(1, 5))]
-        g = class_group(set(gens), k)
-        index = {pos: i for i, pos in enumerate(g.positions)}
+        order = class_group(set(gens), k)
+        rows, positions = exponent_rows(set(gens), k)
+        index = {pos: i for i, pos in enumerate(positions)}
         vectors = []
-        for ev in g.generators:
-            row = [0] * len(g.positions)
+        for ev in rows:
+            row = [0] * len(positions)
             for pos, e in ev:
                 row[index[pos]] = e
             vectors.append(tuple(row))
-        assert g.subgroup_order == subgroup_order_bfs(vectors, k), (gens, k)
+        assert order == subgroup_order_bfs(vectors, k), (gens, k)
         # finite abelian group of exponent dividing k
-        assert k ** len(g.positions) % g.subgroup_order == 0
+        assert k ** len(positions) % order == 0
 
 
 def test_elimination_matches_bfs_on_raw_vectors():
@@ -166,9 +178,11 @@ def test_elimination_matches_bfs_on_raw_vectors():
 
 def test_class_group_generators_are_the_per_element_exponent_vectors():
     # class_group factors all of E in one batch and reads each vector off
-    # the primes it found; exponent_vector factors its element alone, and
-    # arith.factor is the independent oracle.  The 48-64-bit elements share
+    # the primes it found, and its order is that of the vectors factored one
+    # by one; exponent_vector factors its element alone, and arith.factor is
+    # the independent oracle.  The 48-64-bit elements share
     # primes above 10^6 or carry a square factor, and some are negative
+    from powerchains.kummer import _exponent_vectors, _subgroup_order
     rng = random.Random(21)
     shared = (1000003, 1000033, 2**31 - 1, 4294967291)
 
@@ -190,8 +204,9 @@ def test_class_group_generators_are_the_per_element_exponent_vectors():
             () if k == 1 else
             (sign if c < 0 else ()) + tuple((p, e % k) for p, e in factors[c] if e % k)
             for c in elements)
-        assert class_group(E, k).generators == want, k
+        assert tuple(_exponent_vectors(elements, k)) == want, k
         assert tuple(exponent_vector(c, k) for c in elements) == want, k
+        assert class_group(E, k) == _subgroup_order(want, k), k
 
 
 def test_uncertifiable_cofactor_raises_the_primality_bound_error():
@@ -219,7 +234,7 @@ def test_k2_order_is_two_to_the_squarefree_rank():
     # 4,095 generators of rank 1,141, far past the breadth-first oracle
     sets.append(set(subset_sums(vegh_sequence(12, 3))))
     for E in sets:
-        g = class_group(E, 2)
+        order = class_group(E, 2)
         # dedicated GF(2) route: indicator masks of the squarefree parts
         prime_slots: dict[int, int] = {}
         masks = []
@@ -236,7 +251,7 @@ def test_k2_order_is_two_to_the_squarefree_rank():
             if sf > 1:
                 mask ^= 1 << prime_slots.setdefault(sf, len(prime_slots))
             masks.append(mask)
-        assert g.subgroup_order == 2 ** gf2_rank(masks), sorted(E)
+        assert order == 2 ** gf2_rank(masks), sorted(E)
 
 
 def test_k2_order_is_two_to_the_rank_of_the_exponent_rows():
@@ -245,10 +260,10 @@ def test_k2_order_is_two_to_the_rank_of_the_exponent_rows():
     # balanced-ternary sets up to m = 14 (16,383 elements), whose rows each
     # lead at a prime few other elements share, and on drawn integer sets
     def check(E):
-        g = class_group(E, 2)
-        bit = {pos: i for i, pos in enumerate(g.positions)}
-        masks = [sum(1 << bit[pos] for pos, _ in row) for row in g.generators]
-        assert g.subgroup_order == 2 ** gf2_rank(masks), sorted(E)[:8]
+        rows, positions = exponent_rows(E, 2)
+        bit = {pos: i for i, pos in enumerate(positions)}
+        masks = [sum(1 << bit[pos] for pos, _ in row) for row in rows]
+        assert class_group(E, 2) == 2 ** gf2_rank(masks), sorted(E)[:8]
 
     for m in range(1, 15):
         check(subset_sums(vegh_sequence(m, 3)))
@@ -272,7 +287,7 @@ def test_orders_of_a_balanced_ternary_set_for_composite_k():
     E = subset_sums(vegh_sequence(12, 3))
     for k, want in ((3, 3**1142), (4, 2**2283), (6, 2**1141 * 3**1142),
                     (12, 2**2283 * 3**1142)):
-        assert class_group(E, k).subgroup_order == want, k
+        assert class_group(E, k) == want, k
 
 
 def test_order_is_multiplicative_over_coprime_k():
@@ -287,8 +302,7 @@ def test_order_is_multiplicative_over_coprime_k():
     E = set(subset_sums(vegh_sequence(12, 3)))
     cases += [(E, 2, 3), (E, 4, 3)]
     for E, a, b in cases:
-        assert class_group(E, a * b).subgroup_order == \
-            class_group(E, a).subgroup_order * class_group(E, b).subgroup_order, \
+        assert class_group(E, a * b) == class_group(E, a) * class_group(E, b), \
             (sorted(E)[:8], a, b)
 
 
@@ -301,8 +315,7 @@ def test_order_invariant_under_kth_power_rescaling():
         i = rng.randrange(len(gens))
         b = rng.randrange(2, 6)
         replaced = set(gens[:i]) | set(gens[i + 1:]) | {gens[i] * b**k}
-        assert class_group(replaced, k).subgroup_order == \
-            class_group(set(gens), k).subgroup_order, (gens, i, b, k)
+        assert class_group(replaced, k) == class_group(set(gens), k), (gens, i, b, k)
 
 
 # ---------- predicted density ----------
@@ -320,9 +333,8 @@ def test_predicted_density_bounds_and_characterization():
         E = {rng.randrange(1, 100) for _ in range(rng.randrange(1, 6))}
         d = predicted_density(E, k)
         assert 0 < d <= 1
-        g = class_group(E, k)
         # d = 1 exactly when phi(k) = 1 (k <= 2) and the class group is trivial
-        assert (d == 1) == (k in (1, 2) and g.subgroup_order == 1)
+        assert (d == 1) == (k in (1, 2) and class_group(E, k) == 1)
     assert predicted_density({4, 49}, 2) == 1
     assert predicted_density({8}, 3) == Fraction(1, 2)  # perfect cube, phi(3) = 2
 
@@ -387,3 +399,17 @@ def test_density_report_validation():
         DensityReport(10, 5, 1, Fraction(1, 5), Fraction(0), ())
     with pytest.raises(ValueError):
         empirical_density([1], 2, 1)
+    # keyword construction, and the checks hold for it too
+    report = DensityReport(limit=10, total_primes=4, hits=1, empirical=Fraction(1, 4),
+                           predicted_lower_bound=Fraction(1, 16),
+                           exceptional_excluded=(2, 3, 5))
+    assert report == DensityReport(10, 4, 1, Fraction(1, 4), Fraction(1, 16), (2, 3, 5))
+    assert (report.hits, report.exceptional_excluded) == (1, (2, 3, 5))
+    with pytest.raises(ValueError, match=r"^hits must lie in \[0, total_primes\]$"):
+        DensityReport(limit=10, total_primes=4, hits=-1, empirical=Fraction(0),
+                      predicted_lower_bound=Fraction(1, 16), exceptional_excluded=())
+    with pytest.raises(AttributeError):
+        report.hits = 2
+    with pytest.raises(ValueError, match="hits must lie"):
+        report._replace(hits=5)
+    assert report._replace(hits=2).hits == 2

@@ -18,7 +18,7 @@ PUBLIC = {
     errors: ["InvalidCandidateError", "OverflowLimitError", "SizeLimitError"],
     ffield: ["FFPoly", "find_chain_irreducibles", "irreducibles_of_degree",
              "is_irreducible", "is_kth_residue_ff", "poly_from_text", "poly_to_text"],
-    kummer: ["DensityReport", "KummerClassGroup", "class_group", "empirical_density",
+    kummer: ["DensityReport", "class_group", "empirical_density",
              "exponent_vector", "predicted_density"],
 }
 HOME = {name: module for module, names in PUBLIC.items() for name in names}
