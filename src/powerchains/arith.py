@@ -18,7 +18,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, islice
 from math import gcd, isqrt, prod
 from operator import index
 from typing import TYPE_CHECKING
@@ -44,8 +44,8 @@ _BLOCK_PRIMES = 128  # primes per block product: one gcd tests the whole block
 _CHUNK_VALUES = 256  # values per product in _prime_divisors; one product of all is quadratic
 _SEGMENT_ODDS = 1 << 20  # odd slots per sieve segment; cache-resident bitset
 
-# every prime <= _small_prime_bound, grown on demand by trial division, and
-# the products of its consecutive blocks of _BLOCK_PRIMES primes
+# every prime <= _small_prime_bound, grown on demand by trial division and the
+# sieve, and the products of its consecutive blocks of _BLOCK_PRIMES primes
 _small_prime_cache: list[int] = []
 _small_prime_products: list[int] = []
 _small_prime_bound = 1
@@ -124,46 +124,47 @@ def _odd_mask(low: int, high: int, odd_primes) -> bytearray:
     return mask
 
 
-def _sieve(limit: int) -> list[int]:
-    """All primes <= limit: 2, then the slots `_odd_mask` leaves of [3, limit]
-    with the odd primes up to sqrt(limit) (no numpy)."""
-    if limit < 2:
-        return []
-    mask = _odd_mask(3, limit + 1, _sieve(isqrt(limit))[1:])
-    return [2, *compress(range(3, limit + 1, 2), mask)]
-
-
 def _small_primes(bound: int) -> tuple[list[int], list[int]]:
-    """(primes, products): a list that starts with every prime <= bound
-    (<= TRIAL_DIVISION_LIMIT), and the products of its consecutive blocks of
-    _BLOCK_PRIMES primes.
+    """(primes, products): the one prime list of the package, which starts
+    with every prime <= bound, and the products of its consecutive blocks of
+    _BLOCK_PRIMES primes.  Trial division reads it through `_block_divisors`
+    and the segmented sieve `prime_blocks` takes its base primes from it.
 
-    Both grow together, at least twofold when they must grow, so a run of
-    factorizations of increasing size re-sieves only O(log) times.
+    Both grow together, at least twofold when they must grow: the list is
+    then 2 and the slots `_odd_mask` leaves of [3, bound] with its own odd
+    primes up to sqrt(bound) (no numpy), so a run of factorizations or
+    segments of increasing size re-sieves only O(log) times.
     """
     global _small_prime_cache, _small_prime_products, _small_prime_bound
     if bound > _small_prime_bound:
-        _small_prime_bound = min(TRIAL_DIVISION_LIMIT, max(bound, 2 * _small_prime_bound))
-        _small_prime_cache = _sieve(_small_prime_bound)
+        bound = max(bound, 2 * _small_prime_bound)
+        odd_primes = islice(_small_primes(isqrt(bound))[0], 1, None)
+        mask = _odd_mask(3, bound + 1, odd_primes)
+        _small_prime_cache = [2, *compress(range(3, bound + 1, 2), mask)]
         _small_prime_products = [prod(_small_prime_cache[i:i + _BLOCK_PRIMES])
                                  for i in range(0, len(_small_prime_cache), _BLOCK_PRIMES)]
+        _small_prime_bound = bound
     return _small_prime_cache, _small_prime_products
 
 
 def _block_divisors(n: int, bound: int, table=None):
     """Yield (first, divisors) for each block of _BLOCK_PRIMES consecutive
-    primes whose first prime is at most min(bound, TRIAL_DIVISION_LIMIT):
-    `first` is that prime and `divisors` lists, ascending, the block's primes
-    that divide n.  Together the blocks hold every prime up to that bound.
-    A `table` (primes, products) of some other ascending list of primes and
-    the products of its blocks stands in for the small primes, and then the
-    bound alone stops the blocks.
+    primes of `_small_primes` whose first prime is at most
+    min(bound, TRIAL_DIVISION_LIMIT): `first` is that prime and `divisors`
+    lists, ascending, the block's primes that divide n.  Together the blocks
+    hold every prime up to that bound; trial division stops at 10^6 however
+    far the sieve has grown the list.  A `table` (primes, products) of some
+    other ascending list of primes and the products of its blocks stands in
+    for the small primes, and then the bound alone stops the blocks.
 
     One gcd of n with the block's product tests a whole block; its primes
     are tried one by one only when that gcd exceeds 1, and only until they
     account for it.
     """
-    primes, products = table or _small_primes(min(bound, TRIAL_DIVISION_LIMIT))
+    if table is None:
+        bound = min(bound, TRIAL_DIVISION_LIMIT)
+        table = _small_primes(bound)
+    primes, products = table
     for start, product in zip(range(0, len(primes), _BLOCK_PRIMES), products):
         if primes[start] > bound:
             return
@@ -341,8 +342,6 @@ def _factorizations(values) -> list[tuple[tuple[int, int], ...]]:
 def euler_phi(n: int) -> int:
     """Euler's totient, via factorization.  Requires an integer n >= 1."""
     n = _subsets.check_bound(n, "n")
-    if n == 1:
-        return 1
     out = 1
     for p, e in factor(n):
         out *= (p - 1) * p ** (e - 1)
@@ -355,27 +354,21 @@ def prime_blocks(lo: int, hi: int):
 
     Segmented odd-only sieve, each segment marked by `_odd_mask` (numpy only
     reads the finished mask); working memory stays proportional to the
-    segment size, so limits around 10^8 are routine.  The base primes grow
-    (at least twofold) with the segment, so huge ranges start at once.
+    segment size, so limits around 10^8 are routine.  Each segment's base
+    primes come from the cached list `_small_primes`, which grows (at least
+    twofold) with the segment, so huge ranges start at once.
     """
     import numpy as np
 
     lo, hi = max(index(lo), 2), index(hi)
-    if hi < lo:
-        return
     if lo <= 2 <= hi:
         yield np.array([2], dtype=np.int64)
-    low = max(lo, 3)
-    if low % 2 == 0:
-        low += 1
+    low = max(lo, 3) | 1  # odd
     span = 2 * _SEGMENT_ODDS
-    odd_base, bound = [], 1
     while low <= hi:
         high = min(low + span, hi + 1)  # exclusive
-        if isqrt(high - 1) > bound:
-            bound = min(isqrt(hi), max(isqrt(high - 1), 2 * bound))
-            odd_base = _sieve(bound)[1:]  # drop 2
-        mask = _odd_mask(low, high, odd_base)
+        primes, _ = _small_primes(isqrt(high - 1))
+        mask = _odd_mask(low, high, islice(primes, 1, None))  # drop 2
         idx = np.flatnonzero(np.frombuffer(mask, dtype=bool))
         if idx.size:
             yield low + 2 * idx
@@ -386,10 +379,7 @@ def primes_in_range(lo: int, hi: int) -> np.ndarray:
     """All primes in [lo, hi], ascending, as an int64 array."""
     import numpy as np
 
-    blocks = list(prime_blocks(lo, hi))
-    if not blocks:
-        return np.array([], dtype=np.int64)
-    return np.concatenate(blocks)
+    return np.concatenate([np.empty(0, dtype=np.int64), *prime_blocks(lo, hi)])
 
 
 def _ring(k: int, p) -> _subsets.Ring:

@@ -22,10 +22,11 @@ sum-distinct), 2 malformed input, usage error or memory exhaustion.
 
 Output is table (default), json, or csv (csv only for prime/modulus lists
 and density rows, fields quoted per RFC 4180).  JSON is byte-identical across
-runs and worker counts for a fixed config and version; wall-clock timing
-therefore goes to stderr only.  Search and density run on all cores unless
---workers says otherwise.  Exact rationals print in full, however many
-digits they have.
+runs for a fixed config and version, and across worker counts apart from the
+echoed config.workers; wall-clock timing therefore goes to stderr only.  Search and density to limits of 10^7 and
+more run on all cores unless --workers says otherwise; shorter ranges run
+in one process, where starting a pool costs more than it saves.  Exact
+rationals print in full, however many digits they have.
 
 Each command imports the package modules it runs, in the config builder and
 its runner, so a run loads no other: `--version` loads none, the F_p[t]
@@ -48,7 +49,9 @@ if TYPE_CHECKING:
     from powerchains import chains, ffield
 
 SCHEMA_VERSION = 1
-_SERIAL_LIMIT = 10**4  # search and density below this limit run in one process
+# search and density below this limit run in one process: on 2 cores a pool
+# loses to one process up to about 3*10^6 and wins at 10^7
+_SERIAL_LIMIT = 10**7
 
 TABLE, JSON, CSV = "table", "json", "csv"
 
@@ -280,32 +283,20 @@ def _verdict(v: chains.ChainVerdict) -> tuple[dict, int]:
     return result, 0 if v.is_chain else 1
 
 
-def _partition(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
-    n = hi - lo + 1
-    out = []
-    start = lo
-    for i in range(parts):
-        size = n // parts + (1 if i < n % parts else 0)
-        if size > 0:
-            out.append((start, start + size - 1))
-            start += size
-    return out
-
-
 def _over_range(scan, cfg: argparse.Namespace) -> list:
-    """scan(terms, k, lo, hi) over a partition of [2, limit], one part per
-    process and at most one process per core; the parts' results in range
-    order.  Short ranges and a single part run in this process."""
+    """scan(terms, k, lo, hi) over [2, limit] cut into one part per process,
+    at most one process per core; the parts' results in range order.  Ranges
+    below _SERIAL_LIMIT and a single part run in this process."""
     workers = min(cfg.workers, os.cpu_count() or 1)
     if workers == 1 or cfg.limit < _SERIAL_LIMIT:
         return [scan(cfg.sequence, cfg.k, 2, cfg.limit)]
     # imported here, so a run in one process never loads the pool machinery
     from concurrent.futures import ProcessPoolExecutor
 
-    los, his = zip(*_partition(2, cfg.limit, workers))
+    cuts = [2 + i * (cfg.limit - 1) // workers for i in range(workers + 1)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(scan, [cfg.sequence] * workers, [cfg.k] * workers,
-                             los, his))
+                             cuts[:-1], [cut - 1 for cut in cuts[1:]]))
 
 
 def _verify(cfg: argparse.Namespace) -> tuple[dict, int]:

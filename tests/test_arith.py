@@ -7,6 +7,7 @@ from math import gcd, prod
 
 import pytest
 
+from powerchains import arith
 from powerchains.arith import (
     MAX_VALUE,
     MR_CERTIFIED_BOUND,
@@ -219,6 +220,49 @@ def test_primes_in_range_segment_boundaries():
         assert near == [n for n in range(lo, hi + 1) if is_prime(n)], j
     assert primes_in_range(10, 9).tolist() == []
     assert primes_in_range(-5, 2).tolist() == [2]
+
+
+def test_factor_divides_by_the_primes_up_to_1e6_however_far_the_sieve_went(monkeypatch):
+    # trial division takes one gcd per block of 128 primes up to 10^6 (614
+    # blocks) for a prime just above 10^14, and again after a window near
+    # 10^13 has sieved with base primes past 3 * 10^6
+    calls = []
+
+    def counting_gcd(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(arith, "gcd", counting_gcd)
+    n = 100000000000031
+    for _ in range(2):
+        calls.clear()
+        assert factor(n) == ((n, 1),)
+        assert len(calls) == 614
+        assert len(primes_in_range(10**13 - 200, 10**13 + 200)) > 0
+
+
+def test_windows_and_factor_agree_in_either_order():
+    # windows near 10^12 and 10^13 and factorizations around 10^6 squared,
+    # interleaved, in both orders, each order in a fresh interpreter whose
+    # prime lists start empty
+    steps = [[10**12 - 300, 10**12 + 300], 999983 * 1000003,
+             [10**13 - 200, 10**13 + 200], 1000003 * 1000033,
+             2**40 * 1000037, 100000000000031]
+    script = ("import json, sys\n"
+              "from powerchains.arith import factor, primes_in_range\n"
+              "print(json.dumps([primes_in_range(*s).tolist() if isinstance(s, list)\n"
+              "                  else factor(s) for s in json.loads(sys.argv[1])]))")
+    for order in (steps, steps[::-1]):
+        out = subprocess.run([sys.executable, "-c", script, json.dumps(order)],
+                             capture_output=True, text=True, check=True,
+                             timeout=60).stdout
+        for step, got in zip(order, json.loads(out)):
+            if isinstance(step, list):
+                lo, hi = step
+                assert got == [n for n in range(lo, hi + 1) if is_prime(n)], step
+            else:
+                assert prod(p**e for p, e in got) == step
+                assert all(is_prime(p) for p, _ in got), step
 
 
 # ---------- kth power residues ----------

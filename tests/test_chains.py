@@ -360,6 +360,22 @@ def test_exceptional_primes_keep_a_prime_left_by_an_early_stop():
         assert exceptional_primes(r, limit=limit) == tuple(p for p in full if p <= limit)
 
 
+def test_exceptional_primes_keep_the_prime_a_lone_value_leaves():
+    # 513 differences: the largest, 744448 = 2^10 * 727, sits alone in the
+    # last chunk of 256, and no other difference is divisible by 727; once 2
+    # is divided out, its trial division stops early and leaves 727, which
+    # is at most the limit
+    terms = (4, 13, 45, 53, 56, 67, 744214)
+    values = sorted(subset_sums(terms))
+    diffs = {b - a for i, a in enumerate(values) for b in values[i + 1:]}
+    assert len(diffs) == 513 and max(diffs) == 2**10 * 727
+    assert [d for d in diffs if d % 727 == 0] == [max(diffs)]
+    primes = [p for p in range(2, 801) if all(p % q for q in range(2, p))]
+    got = exceptional_primes(terms, limit=800)
+    assert 727 in got
+    assert got == tuple(p for p in primes if any(d % p == 0 for d in diffs))
+
+
 def test_exceptional_primes_requires_sum_distinct():
     with pytest.raises(InvalidCandidateError):
         exceptional_primes([1, 2, 3])

@@ -351,7 +351,8 @@ def test_each_command_builds_e_once(capsys, monkeypatch):
 
 # ---------- determinism and report envelope ----------
 
-def test_json_determinism_across_runs_and_workers(capsys):
+def test_json_determinism_across_runs_and_workers(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_SERIAL_LIMIT", 10**4)  # so 2 workers start a pool
     args = ("search", "--k", "2", "--seq", "1,2,4", "--limit", "20000", "--json")
     outs = []
     for workers in ("1", "2", "1"):
@@ -370,7 +371,8 @@ def test_json_determinism_across_runs_and_workers(capsys):
     assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == out1
 
 
-def test_density_workers_determinism(capsys):
+def test_density_workers_determinism(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_SERIAL_LIMIT", 10**4)  # so 2 workers start a pool
     results = []
     for workers in ("1", "2"):
         code, payload = run_json(capsys, "density", "--k", "2", "--seq", "1,2,4",
@@ -404,6 +406,7 @@ def fake_pool(monkeypatch):
 
 
 def test_workers_capped_at_core_count(capsys, monkeypatch, fake_pool):
+    monkeypatch.setattr(cli, "_SERIAL_LIMIT", 10**4)  # so the limit takes the pool
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     for command in ("search", "density"):
         args = (command, "--k", "2", "--seq", "1,2,4", "--limit", "20000")
@@ -415,6 +418,7 @@ def test_workers_capped_at_core_count(capsys, monkeypatch, fake_pool):
 
 
 def test_search_not_sum_distinct_starts_no_pool(capsys, monkeypatch, fake_pool):
+    monkeypatch.setattr(cli, "_SERIAL_LIMIT", 10**4)  # so the limit takes the pool
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     args = ("search", "--k", "2", "--seq", "1,2,3", "--limit", "20000", "--json")
     outs = []
