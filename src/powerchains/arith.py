@@ -11,13 +11,16 @@ Conventions used throughout the package:
   proven correct for all n < 3317044064679887385961981 (in particular for the
   full 64-bit range); asking about larger n raises OverflowLimitError rather
   than returning a probabilistic answer.
-* Factoring has one trial division, the batch `_prime_divisors`: `factor(n)`
-  is the batch of |n| alone.  `_ring`, the chain core's prime modulus, gives
-  `is_kth_residue` and the Z chain verifiers one residue predicate.
+* Factoring has one trial division, by blocks of primes (`_block_divisors`):
+  the batch `_prime_divisors` divides the products of chunks of values, and
+  `_factorizations` strips each value once; `factor(n)` is its lone value
+  |n|.  `_ring`, the chain core's prime modulus, gives `is_kth_residue` and
+  the Z chain verifiers one residue predicate.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import compress, islice
 from math import gcd, isqrt, prod
 from operator import index
@@ -46,6 +49,7 @@ _SEGMENT_ODDS = 1 << 20  # odd slots per sieve segment; cache-resident bitset
 
 # every prime <= _small_prime_bound, grown on demand by trial division and the
 # sieve, and the products of its consecutive blocks of _BLOCK_PRIMES primes
+# that start at most TRIAL_DIVISION_LIMIT
 _small_prime_cache: list[int] = []
 _small_prime_products: list[int] = []
 _small_prime_bound = 1
@@ -127,8 +131,9 @@ def _odd_mask(low: int, high: int, odd_primes) -> bytearray:
 def _small_primes(bound: int) -> tuple[list[int], list[int]]:
     """(primes, products): the one prime list of the package, which starts
     with every prime <= bound, and the products of its consecutive blocks of
-    _BLOCK_PRIMES primes.  Trial division reads it through `_block_divisors`
-    and the segmented sieve `prime_blocks` takes its base primes from it.
+    _BLOCK_PRIMES primes whose first prime is at most TRIAL_DIVISION_LIMIT.
+    Trial division reads both through `_block_divisors`, and the segmented
+    sieve `prime_blocks` takes its base primes from the list alone.
 
     Both grow together, at least twofold when they must grow: the list is
     then 2 and the slots `_odd_mask` leaves of [3, bound] with its own odd
@@ -141,8 +146,9 @@ def _small_primes(bound: int) -> tuple[list[int], list[int]]:
         odd_primes = islice(_small_primes(isqrt(bound))[0], 1, None)
         mask = _odd_mask(3, bound + 1, odd_primes)
         _small_prime_cache = [2, *compress(range(3, bound + 1, 2), mask)]
+        trial = bisect_right(_small_prime_cache, TRIAL_DIVISION_LIMIT)
         _small_prime_products = [prod(_small_prime_cache[i:i + _BLOCK_PRIMES])
-                                 for i in range(0, len(_small_prime_cache), _BLOCK_PRIMES)]
+                                 for i in range(0, trial, _BLOCK_PRIMES)]
         _small_prime_bound = bound
     return _small_prime_cache, _small_prime_products
 
@@ -236,7 +242,7 @@ def factor(n: int) -> tuple[tuple[int, int], ...]:
     factor(-12) == ((-1, 1), (2, 2), (3, 1)), factor(1) == (), and
     prod(p**e for p, e in factor(n)) == n.
 
-    The batch `_factorizations` of |n| alone: trial division by blocks of
+    The lone value of `_factorizations`: trial division by blocks of
     the primes up to min(sqrt(|n|), 10^6), stopping once a block starts past
     the square root of what is left, then Pollard-Brent rho on whatever
     remains.  Raises TypeError for a non-integer n, ValueError for n = 0 and
@@ -270,39 +276,26 @@ def _strip(n: int, blocks) -> tuple[dict[int, int], int]:
 
 def _prime_divisors(values: list[int], limit: int | None) -> set[int]:
     """The primes, at most `limit` when it is given, that divide some
-    element of `values`, an ascending list of positive integers.  The one
-    trial division of the package: `factor` and `_factorizations` start here.
+    element of `values`, an ascending list of positive integers: the batch
+    trial division of `exceptional_primes` and `_factorizations`.
 
     Trial division runs on the product of each chunk of _CHUNK_VALUES
     values (chunk by chunk, so that no product grows long), by blocks of the
     primes up to the square root of the chunk's largest value or up to the
-    limit, whichever is smaller.  A chunk of one value (the path of
-    `factor`) is divided by each prime found through `_strip`, which ends
-    it once a block starts past the square root of the rest, then 1 or a
-    prime.  A long product seldom stops early, so each value of a larger
-    chunk is instead stripped, by gcds, of the primes its chunk found.
-    When the blocks covered the limit, only a rest at most the limit (a
-    prime, after an early stop) is kept; otherwise each value's remainder
-    is 1 or a prime below 10^12, and Pollard rho splits a larger composite.
+    limit, whichever is smaller.  When the blocks covered the limit, that
+    settles every prime up to it; otherwise each value of the chunk is
+    stripped, by gcds, of the primes its chunk found, and its remainder is
+    then 1 or a prime below 10^12, or Pollard rho splits it.
     """
     primes: set[int] = set()
     for i in range(0, len(values), _CHUNK_VALUES):
         chunk = values[i:i + _CHUNK_VALUES]
         bound = isqrt(chunk[-1]) if limit is None else min(isqrt(chunk[-1]), limit)
-        covered = limit is not None and limit <= min(bound, TRIAL_DIVISION_LIMIT)
         product = prod(chunk)
-        if len(chunk) == 1:
-            found, rest = _strip(product, _block_divisors(product, bound))
-            primes.update(found)
-            if not covered:
-                primes.update(_split(rest))
-            elif 1 < rest <= limit:  # a prime left by an early stop
-                primes.add(rest)
-            continue
         small = [p for _, divisors in _block_divisors(product, bound)
                  for p in divisors]
         primes.update(small)
-        if covered:
+        if limit is not None and limit <= min(bound, TRIAL_DIVISION_LIMIT):
             continue  # every prime factor of a remainder exceeds the limit
         strip = prod(small)
         for d in chunk:
@@ -318,23 +311,28 @@ def _factorizations(values) -> list[tuple[tuple[int, int], ...]]:
     """The prime factorizations of the positive integers `values`, in their
     order, each as ascending (prime, exponent) pairs, from one batch.
 
-    `_prime_divisors` finds every prime that divides some value at once.
-    Each value is then trial-divided by those primes alone, in blocks of
-    _BLOCK_PRIMES with one gcd each, until the first prime of a block
-    exceeds the square root of what is left; what is left is then 1 or a
-    prime.  A cofactor that can be neither split nor certified raises the
-    OverflowLimitError of `is_prime`.
+    A batch of two or more distinct values first finds, by
+    `_prime_divisors`, every prime that divides one of them.  Each value is
+    then stripped once (`_strip`), in blocks of _BLOCK_PRIMES primes with
+    one gcd each, until the first prime of a block exceeds the square root
+    of what is left: in a batch by the primes found, so what is left is 1
+    or a prime; a lone value by the primes up to 10^6.  `_split` finishes
+    what is left.  A cofactor that can be neither split nor certified raises
+    the OverflowLimitError of `is_prime`.
     """
     for n in values:
         _check_width(n)
-    primes = sorted(_prime_divisors(sorted(set(values)), None))
-    table = primes, [prod(primes[i:i + _BLOCK_PRIMES])
-                     for i in range(0, len(primes), _BLOCK_PRIMES)]
+    distinct = sorted(set(values))
+    table = None  # a lone value: the small primes, with the early stop
+    if len(distinct) > 1:
+        primes = sorted(_prime_divisors(distinct, None))
+        table = primes, [prod(primes[i:i + _BLOCK_PRIMES])
+                         for i in range(0, len(primes), _BLOCK_PRIMES)]
     out = []
     for n in values:
         found, n = _strip(n, _block_divisors(n, isqrt(n), table))
-        if n > 1:
-            found[n] = 1
+        for q in sorted(_split(n)):
+            found[q] = found.get(q, 0) + 1
         out.append(tuple(found.items()))
     return out
 

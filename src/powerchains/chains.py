@@ -169,9 +169,10 @@ def _differences(terms) -> list[int]:
 
     They are the values |sum eps_i r_i| for eps in {-1, 0, 1}^m other than
     eps = 0, taken once per pair +/-eps: the sums whose last nonzero eps_i
-    is +1, (3^m - 1)/2 of them.  eps = (1, ..., 1), the full sum, is a
-    difference only if some other eps gives the same value.  Requires a
-    sum-distinct candidate, on which no other eps gives 0.
+    is +1, (3^m - 1)/2 of them.  eps = (1, ..., 1), the full sum S, is a
+    difference only if some other eps gives +/-S, so its one copy is
+    removed.  Requires a sum-distinct candidate, on which no other eps
+    gives 0.
     """
     signed, leading = [0], []  # all signed sums of the terms so far; the +1-led ones
     for r in terms[:-1]:
@@ -179,11 +180,8 @@ def _differences(terms) -> list[int]:
         leading += plus
         signed += plus + [v - r for v in signed]
     leading += [v + terms[-1] for v in signed]
-    diffs = {abs(v) for v in leading}
-    full = sum(terms)  # from eps = (1, ..., 1); 0 is never a difference
-    if full == 0 or leading.count(full) + leading.count(-full) == 1:
-        diffs.discard(abs(full))
-    return sorted(diffs)
+    leading.remove(sum(terms))
+    return sorted({abs(v) for v in leading})
 
 
 def exceptional_primes(r, *, limit: int | None = None) -> tuple[int, ...]:

@@ -12,16 +12,18 @@ ff-search        irreducible moduli up to a degree bound realizing a chain
 
 A command's options are declared in `_build_parser`, where the options that
 several commands share sit in parent parsers; its runner and its CSV rows
-are declared in `COMMANDS`.  `_build_config` validates the parsed namespace
-in place, and the names of `_ECHO`, in that order, are the config that every
-output echoes.
+are declared in `COMMANDS`.  Each option sets one field of the parsed
+namespace, with its default, and the sequence parsers set `ring`;
+`_build_config` validates the namespace in place, and the names of `_ECHO`,
+in that order, are the config that every output echoes.
 
 Exit codes: 0 affirmative result (chain verified, primes found, hits > 0),
 1 negative mathematical result (not a chain, nothing found, candidate not
 sum-distinct), 2 malformed input, usage error or memory exhaustion.
 
 Output is table (default), json, or csv (csv only for prime/modulus lists
-and density rows, fields quoted per RFC 4180).  JSON is byte-identical across
+and density rows, fields quoted per RFC 4180); `--json` is `--format json`,
+and of the two the last given wins.  JSON is byte-identical across
 runs for a fixed config and version, and across worker counts apart from the
 echoed config.workers; wall-clock timing therefore goes to stderr only.  Search and density to limits of 10^7 and
 more run on all cores unless --workers says otherwise; shorter ranges run
@@ -157,16 +159,18 @@ def _build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=(TABLE, JSON, CSV), default=TABLE,
                      help="output format (default: table)")
-    fmt.add_argument("--json", action="store_true",
+    fmt.add_argument("--json", action="store_const", const=JSON, dest="format",
                      help="shorthand for --format json")
 
     intseq = argparse.ArgumentParser(add_help=False)
+    intseq.set_defaults(ring="integers")
     g = intseq.add_mutually_exclusive_group(required=True)
     g.add_argument("--seq", help="comma-separated signed integers, e.g. 1,2,4")
     g.add_argument("--vegh", metavar="M,BASE",
                    help="geometric candidate 1,base,...,base^(m-1)")
 
     ffseq = argparse.ArgumentParser(add_help=False)
+    ffseq.set_defaults(ring="polynomial")
     g = ffseq.add_mutually_exclusive_group(required=True)
     g.add_argument("--seq", help="comma-separated GF(p)[c0,c1,...] literals")
     g.add_argument("--tpowers", type=int, metavar="M",
@@ -183,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
     limit.add_argument("--limit", type=int, required=True)
 
     workers = argparse.ArgumentParser(add_help=False)
-    workers.add_argument("--workers", type=int, default=None,
+    workers.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                          help="parallel workers (default: all cores)")
 
     p = sub.add_parser("verify", parents=[fmt, intseq, k],
@@ -217,24 +221,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _build_config(cfg: argparse.Namespace) -> None:
     """Validate the parsed options in place: each checked value replaces the
-    parsed one, and `ring`, `format` and `sequence` are set."""
+    parsed one, and `sequence` is set (the parser sets `ring` and `format`)."""
     from powerchains import _subsets
 
-    cfg.format = JSON if cfg.json else cfg.format
     if cfg.format == CSV and COMMANDS[cfg.command][1] is None:
         raise ValueError(f"csv output is not available for {cfg.command}; "
                          f"verdicts are table/json only")
-    polynomial = hasattr(cfg, "characteristic")
-    cfg.ring = "polynomial" if polynomial else "integers"
     if hasattr(cfg, "workers"):
-        if cfg.workers is None:
-            cfg.workers = os.cpu_count() or 1
         cfg.workers = _subsets.check_bound(cfg.workers, "--workers")
 
     if hasattr(cfg, "k"):
         cfg.k = _subsets.check_bound(cfg.k, "k")
 
-    if not polynomial:
+    if cfg.ring == "integers":
         from powerchains import arith, chains
 
         cfg.sequence = chains._terms(

@@ -252,7 +252,8 @@ class FFPoly:
     their p and coefficients are, and an int equals none of them.  `coeffs`
     is a kernel tuple, and every operator is computed on it by the kernel.
     p and the coefficients are taken through `operator.index`, so a float
-    raises TypeError.
+    raises TypeError.  The constructor builds every polynomial, FFPoly(p, ())
+    the zero one and FFPoly(p, (c,)) the constant c; `FFPoly.gen(p)` is t.
     """
 
     __slots__ = ("p", "coeffs")
@@ -288,20 +289,6 @@ class FFPoly:
         # pickle and copy would otherwise restore the slots by assignment
         return FFPoly, (self.p, self.coeffs)
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, p: int) -> "FFPoly":
-        return cls(p, ())
-
-    @classmethod
-    def one(cls, p: int) -> "FFPoly":
-        return cls(p, (1,))
-
-    @classmethod
-    def constant(cls, p: int, c: int) -> "FFPoly":
-        return cls(p, (c,))
-
     @classmethod
     def gen(cls, p: int) -> "FFPoly":
         """The indeterminate t."""
@@ -313,9 +300,6 @@ class FFPoly:
     def degree(self) -> int:
         """Degree, with the convention deg 0 = -1."""
         return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
@@ -384,7 +368,7 @@ class FFPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_zero():
+        if not other:
             raise ZeroDivisionError("polynomial division by zero")
         # divide by the monic associate, then scale the quotient back
         p = self.p
@@ -400,7 +384,7 @@ class FFPoly:
 
     def monic(self) -> "FFPoly":
         """Scale by the inverse of the leading coefficient."""
-        if self.is_zero() or self.is_monic():
+        if not self or self.is_monic():
             return self
         inv = pow(self.coeffs[-1], -1, self.p)
         return FFPoly._of(self.p, tuple([c * inv % self.p for c in self.coeffs]))
@@ -408,7 +392,7 @@ class FFPoly:
     # -- formatting --------------------------------------------------------
 
     def __str__(self):
-        if self.is_zero():
+        if not self:
             return "0"
         parts = []
         for i in range(self.degree, -1, -1):
@@ -476,7 +460,7 @@ def powmod(base: FFPoly, exp: int, modulus: FFPoly) -> FFPoly:
 def poly_gcd(a: FFPoly, b: FFPoly) -> FFPoly:
     """Monic greatest common divisor."""
     a._coerce(b)
-    while not b.is_zero():
+    while b:
         a, b = b, a % b
     return a.monic()
 
@@ -628,7 +612,7 @@ def _ring(k: int, f) -> _subsets.Ring:
     k = _subsets.check_bound(k, "k")
     f = _as_modulus(f)
     exponent = _subsets.residue_exponent(_strip_char(k, f.p), f.p**f.degree)
-    return _subsets.Ring(f, k, exponent, _poly_power, FFPoly.one(f.p), _sort_key,
+    return _subsets.Ring(f, k, exponent, _poly_power, FFPoly(f.p, (1,)), _sort_key,
                          f"in F_{f.p}[t]")
 
 

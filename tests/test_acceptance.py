@@ -157,7 +157,7 @@ def test_c6_char_p_reduction_over_f3():
                     kp //= 3
                 powers = set()
                 for x in elements:
-                    y = ffield.FFPoly.one(3)
+                    y = ffield.FFPoly(3, (1,))
                     for _ in range(k):
                         y = y * x % f
                     powers.add(y)
@@ -187,7 +187,7 @@ def test_c7_t_power_chains_over_function_fields():
                     continue
                 powers = set()
                 for x in ffield.residue_field(m):
-                    y = ffield.FFPoly.one(p)
+                    y = ffield.FFPoly(p, (1,))
                     for _ in range(k):
                         y = y * x % m
                     powers.add(y)

@@ -241,6 +241,25 @@ def test_factor_divides_by_the_primes_up_to_1e6_however_far_the_sieve_went(monke
         assert len(primes_in_range(10**13 - 200, 10**13 + 200)) > 0
 
 
+def test_factor_trial_divides_each_block_once(monkeypatch):
+    # factor(n) reads each block of 128 primes once, with one gcd: 71 sits in
+    # the first block and 839 and 1471 in the second, and the third starts at
+    # 1621, past the square root of the rest 6857; 999983 sits in the last of
+    # the 614 blocks up to 10^6
+    calls = []
+
+    def counting_gcd(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(arith, "gcd", counting_gcd)
+    for n, want, blocks in ((600851475143, ((71, 1), (839, 1), (1471, 1), (6857, 1)), 3),
+                            (999983 * 1000003, ((999983, 1), (1000003, 1)), 614)):
+        calls.clear()
+        assert factor(n) == want
+        assert len(calls) == blocks, n
+
+
 def test_windows_and_factor_agree_in_either_order():
     # windows near 10^12 and 10^13 and factorizations around 10^6 squared,
     # interleaved, in both orders, each order in a fresh interpreter whose

@@ -362,9 +362,9 @@ def test_exceptional_primes_keep_a_prime_left_by_an_early_stop():
 
 def test_exceptional_primes_keep_the_prime_a_lone_value_leaves():
     # 513 differences: the largest, 744448 = 2^10 * 727, sits alone in the
-    # last chunk of 256, and no other difference is divisible by 727; once 2
-    # is divided out, its trial division stops early and leaves 727, which
-    # is at most the limit
+    # last chunk of 256, and no other difference is divisible by 727; that
+    # chunk takes the product path like any other, whose blocks of primes up
+    # to the limit find 727
     terms = (4, 13, 45, 53, 56, 67, 744214)
     values = sorted(subset_sums(terms))
     diffs = {b - a for i, a in enumerate(values) for b in values[i + 1:]}
@@ -417,25 +417,38 @@ def prime_factors_by_trial_division(n):
     return out | ({n} if n > 1 else set())
 
 
-def test_exceptional_primes_match_the_pair_differences():
+def test_exceptional_primes_match_the_pair_differences(monkeypatch):
     # the signed sums that stand in for the pairs of E: the full sum
     # r_1 + ... + r_m is a difference only when some other signed sum gives
-    # it too, which 5 does not for [5] and 7 does not for [1, 6]
-    assert tuple(exceptional_primes([5])) == ()
-    assert tuple(exceptional_primes([1, 6])) == (2, 3, 5)
+    # it too, which 5 does not for [5], 7 does not for [1, 6] and 7 does not
+    # for [1, 2, 4], 1 does for [1, 2, -4], and 0 never does ([1, 2, -3]);
+    # the values handed to trial division are exactly the differences
+    seen = []
+    divisors = arith._prime_divisors
+
+    def recording(values, limit):
+        seen.append(list(values))
+        return divisors(values, limit)
+
+    monkeypatch.setattr(arith, "_prime_divisors", recording)
+    fixed = {(5,): (), (1, 6): (2, 3, 5), (1, 2, 4): (2, 3, 5),
+             (1, 2, -4): (2, 3, 5, 7), (1, 2, -3): (2, 3, 5)}
+    cases = list(fixed)
     rng = random.Random(15)
-    cases = 0
-    while cases < 80:
+    while len(cases) < 80 + len(fixed):
         m = rng.randint(1, 6)
         bits = rng.choice((3, 6, 12))
-        terms = [rng.randrange(-2**bits, 2**bits) or 1 for _ in range(m)]
-        if not is_sum_distinct(terms):
-            continue
-        cases += 1
+        terms = tuple(rng.randrange(-2**bits, 2**bits) or 1 for _ in range(m))
+        if is_sum_distinct(terms):
+            cases.append(terms)
+    for terms in cases:
+        seen.clear()
+        got = exceptional_primes(terms)
         values = sorted(subset_sums(terms))
         diffs = {b - a for i, a in enumerate(values) for b in values[i + 1:]}
+        assert seen == [sorted(diffs)], terms
         want = set().union(*map(prime_factors_by_trial_division, diffs))
-        assert list(exceptional_primes(terms)) == sorted(want), terms
+        assert got == fixed.get(terms, tuple(sorted(want))) == tuple(sorted(want)), terms
 
 
 def colliding_primes(values, limit):

@@ -478,6 +478,21 @@ def test_exact_density_prints_past_the_int_to_str_digit_limit(capsys, monkeypatc
     assert payload["result"]["predicted_lower_bound"] == expected
 
 
+def test_json_is_format_json_and_the_last_format_option_wins(capsys):
+    for argv in (("search", "--k", "2", "--seq", "1,2,4", "--limit", "2000",
+                  "--workers", "1"),
+                 ("ff-search", "--char", "5", "--k", "2", "--tpowers", "3",
+                  "--max-degree", "2")):
+        _, shorthand, _ = run(capsys, *argv, "--json")
+        _, spelled, _ = run(capsys, *argv, "--format", "json")
+        _, json_last, _ = run(capsys, *argv, "--format", "csv", "--json")
+        _, csv_last, _ = run(capsys, *argv, "--json", "--format", "csv")
+        _, csv_only, _ = run(capsys, *argv, "--format", "csv")
+        assert shorthand == spelled == json_last, argv
+        assert json.loads(shorthand)["config"]["format"] == "json"
+        assert csv_last == csv_only and csv_last.count("\n") > 1, argv
+
+
 def test_timing_goes_to_stderr_not_stdout(capsys):
     code, out, err = run(capsys, "verify", "--k", "1", "--modulus", "11",
                          "--seq", "1,2,4", "--json")

@@ -38,7 +38,7 @@ def brute_kth_powers(f, k):
     multiplication (independent of square-and-multiply)."""
     out = set()
     for x in residue_field(f):
-        y = FFPoly.one(f.p)
+        y = FFPoly(f.p, (1,))
         for _ in range(k):
             y = y * x % f
         out.add(y)
@@ -92,7 +92,7 @@ def test_powmod_frobenius_example():
         got = []
         for coeffs in product(range(p), repeat=f.degree):
             a = FFPoly(p, coeffs)
-            expected = FFPoly.one(p)
+            expected = FFPoly(p, (1,))
             for _ in range(e):
                 expected = expected * a % f
             assert powmod(a, e, f) == expected, (f, a)
@@ -106,7 +106,7 @@ def test_f2_powmod_matches_schoolbook_square_and_multiply():
     # reducible moduli of degree 1-16 (the sieve tells them apart), zero,
     # unreduced and reduced bases, and the exponents of the residue test
     rng = random.Random(2)
-    one = FFPoly.one(2)
+    one = FFPoly(2, (1,))
 
     def oracle(a, e, f):
         result, base = one % f, a % f
@@ -129,7 +129,7 @@ def test_f2_powmod_matches_schoolbook_square_and_multiply():
         if (q - 1) % 3 == 0:
             exponents.append((q - 1) // 3)
         for f in moduli[True] + moduli[False]:
-            bases = [FFPoly.zero(2), f, f * FFPoly.gen(2) + one,
+            bases = [FFPoly(2, ()), f, f * FFPoly.gen(2) + one,
                      FFPoly(2, [rng.randrange(2) for _ in range(2 * d + 3)]),
                      FFPoly(2, [rng.randrange(2) for _ in range(d)])]
             for a in bases:
@@ -141,7 +141,7 @@ def test_normalization_and_eval():
     f = FFPoly(5, (7, -1, 0, 0))
     assert f.coeffs == (2, 4)
     assert f.degree == 1
-    assert FFPoly.zero(5).degree == -1
+    assert FFPoly(5, ()).degree == -1
     assert f(3) == (2 + 4 * 3) % 5
     assert str(P(3, 1, 0, 1)) == "t^2 + 1"
 
@@ -152,7 +152,7 @@ def test_arithmetic_consistency():
         p = rng.choice([2, 3, 5])
         a = FFPoly(p, tuple(rng.randrange(p) for _ in range(rng.randrange(0, 6))))
         b = FFPoly(p, tuple(rng.randrange(p) for _ in range(rng.randrange(1, 6))))
-        if b.is_zero():
+        if not b:
             continue
         q, r = divmod(a, b)
         assert q * b + r == a
@@ -167,7 +167,7 @@ def test_characteristic_mismatch_and_zero_division():
     with pytest.raises(ValueError):
         P(2, 1) + P(3, 1)
     with pytest.raises(ZeroDivisionError):
-        divmod(P(3, 1, 1), FFPoly.zero(3))
+        divmod(P(3, 1, 1), FFPoly(3, ()))
     with pytest.raises(ValueError):
         FFPoly(4, (1,))  # 4 is not prime
     # an operand that is neither an FFPoly nor an int is refused
@@ -197,7 +197,7 @@ def test_ffpoly_is_an_immutable_hashable_value():
     f, g = FFPoly(5, (7, -1, 0)), P(5, 2, 4)
     assert f == g and f is not g and hash(f) == hash(g) == hash((5, (2, 4)))
     assert f != P(5, 2, 4, 1) and f != P(7, 2, 4)
-    assert FFPoly.zero(3) == FFPoly(3, ()) and hash(FFPoly.zero(3)) == hash((3, ()))
+    assert FFPoly(3, ()) == FFPoly(3, (0, 3)) and hash(FFPoly(3, ())) == hash((3, ()))
     # an int is never equal to a polynomial, not even to a constant
     assert FFPoly(3, (1,)) != 1 and 1 != FFPoly(3, (1,))
     assert FFPoly(3, (1,)) != (3, (1,))
@@ -220,7 +220,7 @@ def test_is_irreducible_examples():
     assert not is_irreducible(P(5, 1, 0, 1))  # 2^2 + 1 = 0 mod 5
     assert is_irreducible(FFPoly.gen(7))  # t, degree 1
     with pytest.raises(ValueError):
-        is_irreducible(FFPoly.one(3))
+        is_irreducible(FFPoly(3, (1,)))
 
 
 def test_sieve_matches_rabin_on_every_monic():
@@ -305,7 +305,7 @@ def test_kth_residue_ff_examples():
         assert is_kth_residue_ff(a, 2, f) == (a in squares)
     # 1 = 1^k always
     for k in (1, 2, 5, 9):
-        assert is_kth_residue_ff(FFPoly.one(3), k, f)
+        assert is_kth_residue_ff(FFPoly(3, (1,)), k, f)
 
 
 def test_char_p_reduction_property():
@@ -322,7 +322,7 @@ def test_char_p_reduction_property():
             # the kth powers for every k at once, by repeated multiplication
             powers = {k: set() for k in ks}
             for x in elements:
-                y = FFPoly.one(p)
+                y = FFPoly(p, (1,))
                 for k in ks:
                     y = y * x % g
                     powers[k].add(y)
@@ -352,7 +352,7 @@ def test_kth_residue_ff_validation():
         is_kth_residue_ff(FFPoly.gen(5), 2, f)
     with pytest.raises(ValueError):
         is_kth_residue_ff(FFPoly.gen(3), 2, P(3, 0, 0, 1))  # reducible modulus
-    r = [FFPoly.one(3), FFPoly.gen(3)]
+    r = [FFPoly(3, (1,)), FFPoly.gen(3)]
     for call in (is_chain, is_cyclic_chain, is_permutation_chain,
                  naive_permutation_chain):
         for k in (0, -3):
@@ -361,7 +361,7 @@ def test_kth_residue_ff_validation():
         with pytest.raises(ValueError, match="^candidate sequence must have at least one term$"):
             call([], 2, f)
         with pytest.raises(ValueError, match="^candidate terms must share one characteristic$"):
-            call([FFPoly.one(3), FFPoly.gen(5)], 2, f)
+            call([FFPoly(3, (1,)), FFPoly.gen(5)], 2, f)
     with pytest.raises(ValueError):
         find_chain_irreducibles(r, 0, 3, 2)
     with pytest.raises(ValueError, match="^modulus must have degree >= 1$"):
@@ -400,11 +400,11 @@ def test_ff_sum_distinct_examples():
     for p in (2, 3, 5):
         assert is_sum_distinct(tpowers(p, 3))
     # over F_2, [1, 1] collides: subsets {1} and {2} share the sum 1
-    res = is_sum_distinct([FFPoly.one(2), FFPoly.one(2)])
+    res = is_sum_distinct([FFPoly(2, (1,)), FFPoly(2, (1,))])
     assert not res
     assert res.collision == ((1,), (2,))
     # constants over F_3: sums {1, 2, 0} are three distinct field elements
-    assert is_sum_distinct([FFPoly.constant(3, 1), FFPoly.constant(3, 2)])
+    assert is_sum_distinct([FFPoly(3, (1,)), FFPoly(3, (2,))])
 
 
 def test_subset_sums_of_polynomials():
@@ -476,7 +476,7 @@ def test_constant_polynomials_agree_with_integers_mod_p():
                 seq = [rng.randrange(-20, 21) for _ in range(rng.randrange(1, 6))]
                 f = FFPoly(p, (-rng.randrange(p), 1))
                 v = is_permutation_chain(seq, k, p)
-                w = is_permutation_chain([FFPoly.constant(p, c) for c in seq], k, f)
+                w = is_permutation_chain([FFPoly(p, (c,)) for c in seq], k, f)
                 assert (w.is_chain, w.is_cyclic, w.is_permutation) == \
                     (v.is_chain, v.is_cyclic, v.is_permutation), (seq, k, p, f)
 
@@ -583,7 +583,7 @@ def test_t_power_candidates_always_find_moduli():
 
 def test_find_chain_irreducibles_rejects_non_sum_distinct():
     with pytest.raises(InvalidCandidateError):
-        find_chain_irreducibles([FFPoly.one(2), FFPoly.one(2)], 2, 2, 3)
+        find_chain_irreducibles([FFPoly(2, (1,)), FFPoly(2, (1,))], 2, 2, 3)
     with pytest.raises(ValueError):
         find_chain_irreducibles(tpowers(3, 2), 2, 5, 3)  # wrong characteristic
 
@@ -702,9 +702,9 @@ def test_poly_text_round_trip():
     f = P(3, 1, 0, 1)
     assert poly_to_text(f) == "GF(3)[1,0,1]"
     assert poly_from_text("GF(3)[1,0,1]") == f
-    assert poly_from_text("GF(3)[]") == FFPoly.zero(3)
-    assert poly_to_text(FFPoly.zero(3)) == "GF(3)[0]"
-    assert poly_from_text("GF(3)[0]") == FFPoly.zero(3)
+    assert poly_from_text("GF(3)[]") == FFPoly(3, ())
+    assert poly_to_text(FFPoly(3, ())) == "GF(3)[0]"
+    assert poly_from_text("GF(3)[0]") == FFPoly(3, ())
     assert poly_from_text("GF(5)[-1,7]") == P(5, 4, 2)
     rng = random.Random(15)
     for _ in range(50):
@@ -723,4 +723,4 @@ def test_poly_gcd():
     a = P(3, 1, 0, 1) * P(3, 1, 1)
     b = P(3, 1, 0, 1) * P(3, 2, 1)
     assert poly_gcd(a, b) == P(3, 1, 0, 1)
-    assert poly_gcd(a, FFPoly.zero(3)) == a.monic()
+    assert poly_gcd(a, FFPoly(3, ())) == a.monic()
